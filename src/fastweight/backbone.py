@@ -21,11 +21,25 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(x):
     """tanh-approximate GELU and its derivative."""
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    y = 0.5 * x * (1.0 + t)
-    dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    # Plain products, not float `**` (numpy calls pow() per element), and
+    # in-place updates: each (T, d_ff) temporary is a fresh allocation.
+    x2 = x * x
+    t = 0.044715 * x2
+    t += 1.0
+    t *= _GELU_C * x
+    np.tanh(t, out=t)
+    y = 1.0 + t
+    y *= 0.5 * x
+    # dy = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
+    dy = t * t
+    np.subtract(1.0, dy, out=dy)
+    x2 *= 3 * 0.044715 * _GELU_C
+    x2 += _GELU_C
+    x2 *= x
+    dy *= x2
+    dy += 1.0
+    dy += t
+    dy *= 0.5
     return y, dy
 
 
@@ -104,10 +118,10 @@ class BackboneParams:
             setattr(self, key, value)
 
     def copy(self) -> "BackboneParams":
-        out = init_backbone(self.cfg)
-        for k, v in self.named():
-            out.set(k, v.copy())
-        return out
+        layers = [LayerParams(**{f: getattr(lp, f).copy() for f in lp.__dataclass_fields__})
+                  for lp in self.layers]
+        return BackboneParams(self.cfg, self.tok_emb.copy(), self.pos_emb.copy(), layers,
+                              self.lnf_g.copy(), self.lnf_b.copy())
 
 
 def init_backbone(config: BackboneConfig) -> BackboneParams:
@@ -176,8 +190,15 @@ def _ln_rows_bwd(cache, g, dy):
 
 
 def _split_heads(x, n_heads):
+    """(T, d) -> head-major (n_heads, T, d // n_heads) view, for batched matmul."""
     T, d = x.shape
-    return x.reshape(T, n_heads, d // n_heads)
+    return x.reshape(T, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(xh):
+    """(n_heads, T, hd) -> (T, n_heads * hd)."""
+    h, T, hd = xh.shape
+    return xh.transpose(1, 0, 2).reshape(T, h * hd)
 
 
 def _attention(lp: LayerParams, x, mem, cfg):
@@ -185,42 +206,42 @@ def _attention(lp: LayerParams, x, mem, cfg):
     M = mem.shape[0]
     xm = np.vstack([mem, x]) if M else x
     y, ln_cache = _ln_rows(xm, lp.ln1_g, lp.ln1_b)
-    q = y[M:] @ lp.wq + lp.bq
-    k = y @ lp.wk + lp.bk
-    v = y @ lp.wv + lp.bv
     T = x.shape[0]
     hd = cfg.d_model // cfg.n_heads
+    q = y[M:] @ lp.wq + lp.bq
+    q /= np.sqrt(hd)  # scale the (T, d) queries, not the (h, T, M+T) scores
+    k = y @ lp.wk + lp.bk
+    v = y @ lp.wv + lp.bv
     qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
-    scores = np.einsum("thd,shd->hts", qh, kh) / np.sqrt(hd)
+    w = qh @ kh.transpose(0, 2, 1)
     # query t may see memory plus current positions <= t
-    mask = np.tril(np.ones((T, M + T)), k=M)
-    scores = np.where(mask[None, :, :] > 0, scores, -np.inf)
-    w = np.exp(scores - scores.max(axis=2, keepdims=True))
+    future = np.arange(M + T) > np.arange(M, M + T)[:, None]
+    np.copyto(w, -np.inf, where=future)
+    w -= w.max(axis=2, keepdims=True)
+    np.exp(w, out=w)
     w /= w.sum(axis=2, keepdims=True)
-    ctx = np.einsum("hts,shd->thd", w, vh).reshape(T, cfg.d_model)
+    ctx = _merge_heads(w @ vh)
     out = ctx @ lp.wo + lp.bo
-    cache = (xm, y, ln_cache, q, k, v, w, ctx, M)
+    cache = (y, ln_cache, qh, kh, vh, w, ctx, M)
     return out, cache
 
 
 def _attention_bwd(lp: LayerParams, cfg, cache, dout):
-    """Gradients of _attention; the memory rows of xm receive none."""
-    xm, y, ln_cache, q, k, v, w, ctx, M = cache
-    T = dout.shape[0]
+    """Gradients of _attention; the memory rows receive none."""
+    y, ln_cache, qh, kh, vh, w, ctx, M = cache
     hd = cfg.d_model // cfg.n_heads
     grads = {}
     grads["wo"] = ctx.T @ dout
     grads["bo"] = dout.sum(axis=0)
-    dctx = (dout @ lp.wo.T).reshape(T, cfg.n_heads, hd)
-    qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
-    dw = np.einsum("thd,shd->hts", dctx, vh)
-    dvh = np.einsum("hts,thd->shd", w, dctx)
-    ds = w * (dw - (w * dw).sum(axis=2, keepdims=True))
-    dqh = np.einsum("hts,shd->thd", ds, kh) / np.sqrt(hd)
-    dkh = np.einsum("hts,thd->shd", ds, qh) / np.sqrt(hd)
-    dq = dqh.reshape(T, cfg.d_model)
-    dk = dkh.reshape(M + T, cfg.d_model)
-    dv = dvh.reshape(M + T, cfg.d_model)
+    dctxh = _split_heads(dout @ lp.wo.T, cfg.n_heads)
+    dvh = w.transpose(0, 2, 1) @ dctxh
+    ds = dctxh @ vh.transpose(0, 2, 1)  # gradient of w, then through the softmax
+    ds -= (w * ds).sum(axis=2, keepdims=True)
+    ds *= w
+    dq = _merge_heads(ds @ kh)
+    dq /= np.sqrt(hd)
+    dk = _merge_heads(ds.transpose(0, 2, 1) @ qh)
+    dv = _merge_heads(dvh)
     grads["wq"] = y[M:].T @ dq
     grads["bq"] = dq.sum(axis=0)
     grads["wk"] = y.T @ dk
@@ -237,19 +258,20 @@ def _attention_bwd(lp: LayerParams, cfg, cache, dout):
 
 def _ff(lp: LayerParams, x):
     y, ln_cache = _ln_rows(x, lp.ln2_g, lp.ln2_b)
-    h1 = y @ lp.w1 + lp.b1
+    h1 = y @ lp.w1
+    h1 += lp.b1
     act, dact = gelu(h1)
     out = act @ lp.w2 + lp.b2
-    return out, (y, ln_cache, h1, act, dact)
+    return out, (y, ln_cache, act, dact)
 
 
 def _ff_bwd(lp: LayerParams, cache, dout):
-    y, ln_cache, h1, act, dact = cache
+    y, ln_cache, act, dact = cache
     grads = {}
     grads["w2"] = act.T @ dout
     grads["b2"] = dout.sum(axis=0)
-    dact_out = dout @ lp.w2.T
-    dh1 = dact_out * dact
+    dh1 = dout @ lp.w2.T
+    dh1 *= dact
     grads["w1"] = y.T @ dh1
     grads["b1"] = dh1.sum(axis=0)
     dy = dh1 @ lp.w1.T
@@ -317,10 +339,8 @@ def encode_backward(params: BackboneParams, cache, dH):
     """VJP of encode_with_cache. Returns dict key -> gradient array."""
     tokens, layer_caches, lnf_cache = cache
     cfg = params.cfg
-    grads = {k: np.zeros_like(v) for k, v in params.named()}
-    dx, dg, db = _ln_rows_bwd(lnf_cache, params.lnf_g, as_f64(dH))
-    grads["lnf_g"] += dg
-    grads["lnf_b"] += db
+    grads = {}
+    dx, grads["lnf_g"], grads["lnf_b"] = _ln_rows_bwd(lnf_cache, params.lnf_g, as_f64(dH))
     for li in range(cfg.n_layers - 1, -1, -1):
         a_cache, f_cache = layer_caches[li]
         dff_in, fgrads = _ff_bwd(params.layers[li], f_cache, dx)
@@ -328,8 +348,9 @@ def encode_backward(params: BackboneParams, cache, dH):
         dattn_in, agrads = _attention_bwd(params.layers[li], cfg, a_cache, dx1)
         dx = dx1 + dattn_in
         for name, g in {**fgrads, **agrads}.items():
-            grads[f"layers.{li}.{name}"] += g
-    T = tokens.shape[0]
+            grads[f"layers.{li}.{name}"] = g
+    grads["tok_emb"] = np.zeros_like(params.tok_emb)
     np.add.at(grads["tok_emb"], tokens, dx)
-    grads["pos_emb"][:T] += dx
-    return grads
+    grads["pos_emb"] = np.zeros_like(params.pos_emb)
+    grads["pos_emb"][:tokens.shape[0]] = dx
+    return {k: grads[k] for k, _ in params.named()}  # in named() order

@@ -8,6 +8,8 @@ trips are bit-exact.
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -34,13 +36,31 @@ def _write_tensor(f, name: str, arr: np.ndarray):
     f.write(data.tobytes())
 
 
-def _read_tensor(f):
-    (name_len,) = struct.unpack("<I", f.read(4))
-    name = f.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<I", f.read(4))
-    dims = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
-    count = int(np.prod(dims)) if dims else 1
-    buf = f.read(count * 8)
+class _Reader:
+    """Sequential reads from an open checkpoint. A length past the end of the
+    file raises ConfigError before anything is read, so a corrupt length
+    cannot allocate."""
+
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.left = os.fstat(f.fileno()).st_size - f.tell()
+
+    def read(self, n: int) -> bytes:
+        if n > self.left:
+            raise ConfigError(f"{self.path} is truncated or corrupt")
+        self.left -= n
+        return self.f.read(n)
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+
+def _read_tensor(r: _Reader):
+    (name_len,) = r.unpack("<I")
+    name = r.read(name_len).decode("utf-8")
+    (rank,) = r.unpack("<I")
+    dims = struct.unpack(f"<{rank}Q", r.read(8 * rank))
+    buf = r.read(math.prod(dims) * 8)
     arr = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(dims)
     return name, arr
 
@@ -115,13 +135,17 @@ def load_checkpoint(path) -> CheckpointData:
     with f:
         if f.read(8) != MAGIC:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
+        r = _Reader(f, path)
+        (version,) = r.unpack("<I")
         if version != VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
-        (n_tensors,) = struct.unpack("<Q", f.read(8))
-        tensors = dict(_read_tensor(f) for _ in range(n_tensors))
+        (meta_len,) = r.unpack("<Q")
+        try:
+            meta = json.loads(r.read(meta_len).decode("utf-8"))
+            (n_tensors,) = r.unpack("<Q")
+            tensors = dict(_read_tensor(r) for _ in range(n_tensors))
+        except ValueError as e:  # bad UTF-8 or JSON
+            raise ConfigError(f"{path} is truncated or corrupt") from e
 
     mc = model_config_from_dict(meta["model_config"])
     model = init_model(mc)

@@ -401,16 +401,28 @@ class BenchReport:
     measured: dict[str, float]  # tokens/sec by variant
 
 
+_BENCH_REPEATS = 3
+
+
+def _median_tokens_per_sec(run) -> float:
+    """One untimed warm-up call, then the median rate of _BENCH_REPEATS calls."""
+    run()
+    return float(np.median([run().tokens_per_sec for _ in range(_BENCH_REPEATS)]))
+
+
 def bench(ckpt: CheckpointData, corpus: Corpus, dyneval_step: float = 0.01,
           dyneval_chunk: int = 32, max_docs: int | None = None) -> BenchReport:
-    """Analytic FLOP report plus measured scoring throughput."""
+    """Analytic FLOP report plus measured scoring throughput, each rate the
+    median of _BENCH_REPEATS runs after a warm-up."""
     docs = corpus.documents[:max_docs] if max_docs else corpus.documents
     sub = Corpus(docs, corpus.tokenizer)
     measured = {}
-    measured["baseline_tokens_per_sec"] = score(ckpt, sub, "baseline").tokens_per_sec
-    measured["fwl_tokens_per_sec"] = score(ckpt, sub, "fwl").tokens_per_sec
-    measured["dyneval_tokens_per_sec"] = dynamic_evaluate(
-        ckpt, sub, dyneval_step, dyneval_chunk).tokens_per_sec
+    measured["baseline_tokens_per_sec"] = _median_tokens_per_sec(
+        lambda: score(ckpt, sub, "baseline"))
+    measured["fwl_tokens_per_sec"] = _median_tokens_per_sec(
+        lambda: score(ckpt, sub, "fwl"))
+    measured["dyneval_tokens_per_sec"] = _median_tokens_per_sec(
+        lambda: dynamic_evaluate(ckpt, sub, dyneval_step, dyneval_chunk))
     measured["dyneval_cost_ratio"] = (measured["baseline_tokens_per_sec"]
                                       / max(measured["dyneval_tokens_per_sec"], 1e-9))
     measured["fwl_cost_ratio"] = (measured["baseline_tokens_per_sec"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastweight import backbone as bb
-from fastweight.numerics import ConfigError, InputError
+from fastweight.numerics import LN_EPS, ConfigError, InputError
 
 
 def tiny_config(**kw):
@@ -39,6 +39,84 @@ def test_param_count_matches_hand_count():
     # ff 4*6+6 + 6*4+4] + final ln 8
     hand = 28 + 20 + (8 + 80 + 8 + 30 + 28) + 8
     assert total == hand == bb.param_count(cfg)
+
+
+def test_copy_bit_equal_and_independent():
+    params = bb.init_backbone(tiny_config())
+    dup = params.copy()
+    for (ka, va), (kb, vb) in zip(params.named(), dup.named()):
+        assert ka == kb
+        np.testing.assert_array_equal(va, vb)
+    before = {k: v.copy() for k, v in params.named()}
+    for _, v in dup.named():
+        v += 1.0
+    for k, v in params.named():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+
+
+def _gelu_closed_form(x):
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+
+
+def test_gelu_matches_closed_form_and_central_differences():
+    x = np.linspace(-10.0, 10.0, 4001)
+    y, dy = bb.gelu(x)
+    np.testing.assert_allclose(y, _gelu_closed_form(x), rtol=1e-13, atol=1e-15)
+    eps = 1e-6
+    fd = (_gelu_closed_form(x + eps) - _gelu_closed_form(x - eps)) / (2 * eps)
+    np.testing.assert_allclose(dy, fd, rtol=0, atol=1e-8)
+
+
+def _ln_ref(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + LN_EPS) * g + b
+
+
+def _encode_loop_reference(params, tokens, mems):
+    """Transformer forward with one explicit softmax per (head, query)."""
+    cfg = params.cfg
+    hd = cfg.d_model // cfg.n_heads
+    T = len(tokens)
+    x = params.tok_emb[tokens] + params.pos_emb[:T]
+    for lp, mem in zip(params.layers, mems):
+        M = mem.shape[0]
+        y = _ln_ref(np.vstack([mem, x]), lp.ln1_g, lp.ln1_b)
+        q = y[M:] @ lp.wq + lp.bq
+        k = y @ lp.wk + lp.bk
+        v = y @ lp.wv + lp.bv
+        ctx = np.zeros((T, cfg.d_model))
+        for h in range(cfg.n_heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            for t in range(T):
+                visible = M + t + 1  # memory plus current positions <= t
+                scores = np.array([q[t, cols] @ k[s, cols] for s in range(visible)])
+                scores /= np.sqrt(hd)
+                p = np.exp(scores - scores.max())
+                p /= p.sum()
+                ctx[t, cols] = sum(p[s] * v[s, cols] for s in range(visible))
+        x = x + ctx @ lp.wo + lp.bo
+        y = _ln_ref(x, lp.ln2_g, lp.ln2_b)
+        x = x + _gelu_closed_form(y @ lp.w1 + lp.b1) @ lp.w2 + lp.b2
+    return _ln_ref(x, params.lnf_g, params.lnf_b)
+
+
+@pytest.mark.parametrize("memory_len", [0, 5])
+def test_encode_matches_per_head_loop_reference(memory_len):
+    params = bb.init_backbone(tiny_config(memory_len=memory_len))
+    rng = np.random.default_rng(7)
+    seg1 = rng.integers(0, 11, size=7)
+    seg2 = rng.integers(0, 11, size=9)
+    if memory_len:
+        _, memory = bb.encode_segment(params, seg1, bb.SegmentMemory.empty(params.cfg))
+        assert all(m.shape[0] == memory_len for m in memory.activations)
+        mems = memory.activations
+    else:
+        memory = None
+        mems = [np.zeros((0, params.cfg.d_model))] * params.cfg.n_layers
+    H, _, _ = bb.encode_with_cache(params, seg2, memory)
+    want = _encode_loop_reference(params, seg2, mems)
+    assert np.max(np.abs(H - want)) <= 1e-12
 
 
 def test_encode_causality_bit_exact():

@@ -121,3 +121,14 @@ def test_usage_error_exit_one(capsys):
     rc = main(["score"])  # missing required args
     capsys.readouterr()
     assert rc == 1
+
+
+def test_truncated_ckpt_is_config_error(workdir, tmp_path, capsys):
+    data = (workdir / "run" / "final.ckpt").read_bytes()
+    cut = tmp_path / "half.ckpt"
+    cut.write_bytes(data[:len(data) // 2])
+    rc = main(["score", "--ckpt", str(cut), "--corpus", str(workdir / "dev.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "truncated or corrupt" in err
+    assert "Traceback" not in err
