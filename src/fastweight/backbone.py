@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import LN_EPS, ConfigError, InputError, ShapeError, as_f64
+from .numerics import ConfigError, InputError, ShapeError, layernorm_bwd, layernorm_fwd
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
@@ -169,26 +169,6 @@ class SegmentMemory:
         return SegmentMemory([np.zeros((0, config.d_model)) for _ in range(config.n_layers)])
 
 
-def _ln_rows(x, g, b):
-    mu = x.mean(axis=1, keepdims=True)
-    c = x - mu
-    var = np.mean(c * c, axis=1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = c * istd
-    return xhat * g + b, (xhat, istd)
-
-
-def _ln_rows_bwd(cache, g, dy):
-    xhat, istd = cache
-    dg = (dy * xhat).sum(axis=0)
-    db = dy.sum(axis=0)
-    dxh = dy * g
-    m1 = dxh.mean(axis=1, keepdims=True)
-    m2 = (dxh * xhat).mean(axis=1, keepdims=True)
-    dx = istd * (dxh - m1 - xhat * m2)
-    return dx, dg, db
-
-
 def _split_heads(x, n_heads):
     """(T, d) -> head-major (n_heads, T, d // n_heads) view, for batched matmul."""
     T, d = x.shape
@@ -205,7 +185,7 @@ def _attention(lp: LayerParams, x, mem, cfg):
     """Pre-norm causal attention over [mem; x]. Returns (out, cache)."""
     M = mem.shape[0]
     xm = np.vstack([mem, x]) if M else x
-    y, ln_cache = _ln_rows(xm, lp.ln1_g, lp.ln1_b)
+    y, ln_cache = layernorm_fwd(xm, lp.ln1_g, lp.ln1_b)
     T = x.shape[0]
     hd = cfg.d_model // cfg.n_heads
     q = y[M:] @ lp.wq + lp.bq
@@ -250,14 +230,14 @@ def _attention_bwd(lp: LayerParams, cfg, cache, dout):
     grads["bv"] = dv.sum(axis=0)
     dy = dk @ lp.wk.T + dv @ lp.wv.T
     dy[M:] += dq @ lp.wq.T
-    dxm, dg, db = _ln_rows_bwd(ln_cache, lp.ln1_g, dy)
+    dxm, dg, db = layernorm_bwd(ln_cache, dy)
     grads["ln1_g"] = dg
     grads["ln1_b"] = db
     return dxm[M:], grads  # memory rows dropped: stop-gradient
 
 
 def _ff(lp: LayerParams, x):
-    y, ln_cache = _ln_rows(x, lp.ln2_g, lp.ln2_b)
+    y, ln_cache = layernorm_fwd(x, lp.ln2_g, lp.ln2_b)
     h1 = y @ lp.w1
     h1 += lp.b1
     act, dact = gelu(h1)
@@ -275,7 +255,7 @@ def _ff_bwd(lp: LayerParams, cache, dout):
     grads["w1"] = y.T @ dh1
     grads["b1"] = dh1.sum(axis=0)
     dy = dh1 @ lp.w1.T
-    dx, dg, db = _ln_rows_bwd(ln_cache, lp.ln2_g, dy)
+    dx, dg, db = layernorm_bwd(ln_cache, dy)
     grads["ln2_g"] = dg
     grads["ln2_b"] = db
     return dx, grads
@@ -315,7 +295,7 @@ def encode_with_cache(params: BackboneParams, tokens,
         x2 = x1 + ff
         layer_caches.append((a_cache, f_cache))
         x = x2
-    H, lnf_cache = _ln_rows(x, params.lnf_g, params.lnf_b)
+    H, lnf_cache = layernorm_fwd(x, params.lnf_g, params.lnf_b)
     cache = (tokens, layer_caches, lnf_cache)
     out_mem = SegmentMemory(new_mem) if cfg.memory_len else None
     return H, cache, out_mem
@@ -340,7 +320,7 @@ def encode_backward(params: BackboneParams, cache, dH):
     tokens, layer_caches, lnf_cache = cache
     cfg = params.cfg
     grads = {}
-    dx, grads["lnf_g"], grads["lnf_b"] = _ln_rows_bwd(lnf_cache, params.lnf_g, as_f64(dH))
+    dx, grads["lnf_g"], grads["lnf_b"] = layernorm_bwd(lnf_cache, dH)
     for li in range(cfg.n_layers - 1, -1, -1):
         a_cache, f_cache = layer_caches[li]
         dff_in, fgrads = _ff_bwd(params.layers[li], f_cache, dx)

@@ -149,7 +149,12 @@ def load_checkpoint(path) -> CheckpointData:
 
     mc = model_config_from_dict(meta["model_config"])
     model = init_model(mc)
-    for key, _ in list(model.named_params()):
+    for key, want in list(model.named_params()):
+        if key not in tensors:
+            raise ConfigError(f"{path} has no tensor {key!r} for its model_config")
+        if tensors[key].shape != want.shape:
+            raise ConfigError(f"{path}: tensor {key!r} has shape {tensors[key].shape}, "
+                              f"its model_config needs {want.shape}")
         model.set(key, tensors[key])
     for n in TENSOR_NAMES:
         if f"alpha.{n}" in tensors:

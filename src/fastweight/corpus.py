@@ -101,6 +101,8 @@ def ingest(path, tokenizer_spec: TokenizerSpec | str = "char") -> Corpus:
             text = f.read()
     except OSError as e:
         raise OSError(f"cannot read corpus {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"corpus {path} is not UTF-8 text") from e
     return corpus_from_text(text, tokenizer_spec)
 
 

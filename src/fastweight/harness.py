@@ -481,10 +481,10 @@ def generate(ckpt: CheckpointData, prompt: str, n_tokens: int,
     window = ids[-bcfg.max_seq_len:]
     H = bb.encode(model.backbone, np.array(window))
     if steps.mask:
-        for t in range(len(window) - 1):
-            grads = hd.head_grads_single(model.head, H[t], int(window[t + 1]))
-            for name in steps.mask:
-                offsets.acc[name] += grads[name]
+        # the prompt's summed slow gradients, as score carries them between segments
+        tape, _ = hd.slow_forward(model.head, H[:-1], window[1:])
+        grads = hd.per_position_grads(model.head, tape)
+        offsets = hd.update_stream_state(offsets, grads, tape, {})
     h = H[-1]
     for _ in range(n_tokens):
         out = hd.generate_step(model.head, steps, offsets, h, temperature, rng)

@@ -21,10 +21,11 @@ from .numerics import (
     StateError,
     as_f64,
     exclusive_cumsum_rows,
+    layernorm_bwd,
+    layernorm_fwd,
     relu2,
     softmax,
     softmax_xent_rows,
-    LN_EPS,
 )
 
 TENSOR_NAMES = ("U", "a", "W", "b", "ln_gain", "ln_bias", "E", "c")
@@ -216,14 +217,9 @@ def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape
     v, relu_mask = relu2(z)
     o = v @ head.W
     pre_ln = o + head.b
-    mu = pre_ln.mean(axis=1, keepdims=True)
-    cdev = pre_ln - mu
-    var = np.mean(cdev * cdev, axis=1, keepdims=True)
-    istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = cdev * istd
-    u = xhat * head.ln_gain + head.ln_bias
+    u, (xhat, istd, _) = layernorm_fwd(pre_ln, head.ln_gain, head.ln_bias)
     logits = u @ head.E + head.c
-    losses, _, probs = softmax_xent_rows(logits, targets)
+    losses, probs = softmax_xent_rows(logits, targets)
     tape = PositionTape(H, targets, z, v, relu_mask, o, pre_ln, xhat, istd,
                         u, logits, probs, losses)
     return tape, losses
@@ -243,10 +239,7 @@ def per_position_grads(head: HeadParams, tape: PositionTape,
     g_logits = tape.probs.copy()
     g_logits[np.arange(T), targets] -= 1.0
     g_u = g_logits @ head.E.T
-    dxh = g_u * head.ln_gain
-    m1 = dxh.mean(axis=1, keepdims=True)
-    m2 = (dxh * tape.xhat).mean(axis=1, keepdims=True)
-    g_o = tape.istd * (dxh - m1 - tape.xhat * m2)
+    g_o, _, _ = layernorm_bwd((tape.xhat, tape.istd, head.ln_gain), g_u)
     g_ln_gain = g_u * tape.xhat
     g_v = g_o @ head.W.T
     g_z = g_v * tape.relu_mask
@@ -360,12 +353,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
         bias_rows = head.ln_bias - alpha["ln_bias"] * cum["ln_bias"]
 
     if dirty or "ln_gain" in mask or "ln_bias" in mask:
-        mu = pre_ln.mean(axis=1, keepdims=True)
-        cdev = pre_ln - mu
-        var = np.mean(cdev * cdev, axis=1, keepdims=True)
-        istd = 1.0 / np.sqrt(var + LN_EPS)
-        xhat = cdev * istd
-        u = gain_rows * xhat + bias_rows
+        u, (xhat, istd, _) = layernorm_fwd(pre_ln, gain_rows, bias_rows)
         dirty = True
     else:
         xhat, istd, u = tape.xhat, tape.istd, tape.u
@@ -378,7 +366,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
         if "c" in mask:
             cum["c"] = vec_term("c", grads.g_logits)
             logits = logits - alpha["c"] * cum["c"]
-        losses, _, probs = softmax_xent_rows(logits, tape.targets)
+        losses, probs = softmax_xent_rows(logits, tape.targets)
     else:
         logits, probs, losses = tape.logits, tape.probs, tape.losses
 
@@ -397,7 +385,9 @@ def segment_grad_sums(tape: PositionTape, grads: PositionGrads,
         rows = grads.rows(name)
         if name in MATRIX_TENSORS:
             keys = {"U": tape.h, "W": tape.v, "E": tape.u}[name]
-            sums[name] = keys.T @ rows
+            # np.dot, not @: at T=1 matmul takes the (d, 1) transposed view
+            # off BLAS and is ~4x slower; the results are equal
+            sums[name] = np.dot(keys.T, rows)
         else:
             sums[name] = rows.sum(axis=0)
     return sums
@@ -416,48 +406,10 @@ def update_stream_state(state: StreamState, grads: PositionGrads,
     return StreamState(new)
 
 
-def head_forward_single(params_like, h: np.ndarray):
-    """Head forward for one position. params_like maps tensor name -> array.
-
-    Returns (logits, cache) where cache holds (z, v_act, relu_mask, xhat, istd, u).
-    """
-    U, a = params_like["U"], params_like["a"]
-    W, b = params_like["W"], params_like["b"]
-    gain, bias = params_like["ln_gain"], params_like["ln_bias"]
-    E, c = params_like["E"], params_like["c"]
-    z = h @ U + a
-    v_act, relu_mask = relu2(z)
-    p = v_act @ W + b
-    mu = p.mean()
-    cdev = p - mu
-    var = np.mean(cdev * cdev)
-    istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = cdev * istd
-    u = gain * xhat + bias
-    logits = u @ E + c
-    return logits, (z, v_act, relu_mask, xhat, istd, u)
-
-
 def head_grads_single(head: HeadParams, h: np.ndarray, target: int) -> dict[str, np.ndarray]:
     """Full gradients of one position's slow loss, keyed by tensor name."""
-    params = {n: t for n, t in head.named()}
-    logits, (z, v_act, relu_mask, xhat, istd, u) = head_forward_single(params, h)
-    p = softmax(logits)
-    g_logits = p.copy()
-    g_logits[target] -= 1.0
-    g_u = g_logits @ head.E.T
-    dxh = g_u * head.ln_gain
-    m1 = dxh.mean()
-    m2 = (dxh * xhat).mean()
-    g_o = istd * (dxh - m1 - xhat * m2)
-    g_v = g_o @ head.W.T
-    g_z = g_v * relu_mask
-    return {
-        "U": np.outer(h, g_z), "a": g_z,
-        "W": np.outer(v_act, g_o), "b": g_o,
-        "ln_gain": g_u * xhat, "ln_bias": g_u,
-        "E": np.outer(u, g_logits), "c": g_logits,
-    }
+    tape, _ = slow_forward(head, as_f64(h)[None, :], [target])
+    return segment_grad_sums(tape, per_position_grads(head, tape), TENSOR_NAMES)
 
 
 def sample_token(logits: np.ndarray, temperature: float, rng) -> int:
@@ -485,14 +437,16 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: StreamState,
     token -- computed against the slow weights -- into the offsets.
     """
     _check_state(offsets, head, steps.mask)
-    fast_params = {n: t for n, t in head.named()}
-    for name in steps.mask:
-        fast_params[name] = fast_params[name] - steps.alpha[name] * offsets.acc[name]
-    logits, _ = head_forward_single(fast_params, as_f64(h))
+    fast = HeadParams(**{n: t - steps.alpha[n] * offsets.acc[n] if n in steps.mask else t
+                         for n, t in head.named()})
+    # the target is not sampled yet; the tape's probabilities do not depend on it
+    tape, _ = slow_forward(fast, as_f64(h)[None, :], [0])
+    logits = tape.logits[0]
     token = sample_token(logits, temperature, rng)
-    fast_loss = float(-np.log(softmax(logits)[token]))
-    grads = head_grads_single(head, as_f64(h), token)
+    fast_loss = float(-np.log(tape.probs[0, token]))
     new_acc = dict(offsets.acc)
-    for name in steps.mask:
-        new_acc[name] = offsets.acc[name] + grads[name]
+    if steps.mask:
+        grads = head_grads_single(head, h, token)
+        for name in steps.mask:
+            new_acc[name] = offsets.acc[name] + grads[name]
     return GenStep(token, StreamState(new_acc), fast_loss, logits)

@@ -37,17 +37,6 @@ def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (n, k) @ b (k, m) -> (n, m), with an explicit shape check."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def relu2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y = max(x, 0)^2 and its derivative mask 2*max(x, 0). Elementwise."""
     x = as_f64(x)
@@ -68,9 +57,10 @@ def layernorm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float 
         raise ShapeError(
             f"layernorm gain/bias {gain.shape}/{bias.shape} do not match input {x.shape}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    cdev = x - mu
-    var = np.mean(cdev * cdev, axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, without its Python-level overhead
+    d = x.shape[-1]
+    cdev = x - x.sum(axis=-1, keepdims=True) / d
+    var = (cdev * cdev).sum(axis=-1, keepdims=True) / d
     istd = 1.0 / np.sqrt(var + eps)
     xhat = cdev * istd
     return gain * xhat + bias, (xhat, istd, gain)
@@ -88,8 +78,9 @@ def layernorm_bwd(cache, dy: np.ndarray):
     if dy.shape != xhat.shape:
         raise ShapeError(f"dy {dy.shape} does not match forward input {xhat.shape}")
     dxh = dy * gain
-    m1 = dxh.mean(axis=-1, keepdims=True)
-    m2 = (dxh * xhat).mean(axis=-1, keepdims=True)
+    d = dxh.shape[-1]
+    m1 = dxh.sum(axis=-1, keepdims=True) / d
+    m2 = (dxh * xhat).sum(axis=-1, keepdims=True) / d
     dx = istd * (dxh - m1 - xhat * m2)
     if dy.ndim == 1:
         dgain = dy * xhat
@@ -128,7 +119,7 @@ def softmax_xent(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
 def softmax_xent_rows(logits: np.ndarray, targets: np.ndarray):
     """Row-wise cross entropy. logits (T, V), targets (T,) ints.
 
-    Returns (losses (T,), dlogits (T, V), probs (T, V)).
+    Returns (losses (T,), probs (T, V)); one exponential serves both.
     """
     logits = as_f64(logits)
     targets = np.asarray(targets)
@@ -137,14 +128,12 @@ def softmax_xent_rows(logits: np.ndarray, targets: np.ndarray):
         raise ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
     if targets.min(initial=0) < 0 or targets.max(initial=-1) >= V:
         raise IndexError("target id out of vocabulary range")
-    rows = np.arange(T)
     m = logits.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=-1))
-    losses = lse - logits[rows, targets]
-    p = softmax(logits)
-    d = p.copy()
-    d[rows, targets] -= 1.0
-    return losses, d, p
+    e = np.exp(logits - m)
+    s = e.sum(axis=-1, keepdims=True)
+    losses = (m + np.log(s))[:, 0] - logits[np.arange(T), targets]
+    e /= s
+    return losses, e
 
 
 def exclusive_cumsum_rows(g: np.ndarray) -> np.ndarray:
@@ -180,9 +169,3 @@ def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         xf[i] = orig
         flat[i] = (hi - lo) / (2.0 * eps)
     return g
-
-
-def check_finite(arr: np.ndarray, what: str = "value") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite {what} encountered")
-    return arr

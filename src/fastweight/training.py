@@ -26,7 +26,8 @@ from . import backbone as bb
 from . import head as hd
 from .corpus import Corpus
 from .linear_attention import KVState, causal_linear_attention_vjp
-from .numerics import ConfigError, NumericalError, reverse_exclusive_cumsum_rows
+from .numerics import (ConfigError, NumericalError, layernorm_bwd,
+                       reverse_exclusive_cumsum_rows)
 
 MODES = ("full", "slow-only", "fwl-finetune")
 
@@ -194,18 +195,14 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
         ddelta["c"] = dcum.sum(axis=0)
 
     # ---- LayerNorm with per-position gains: u' = gain' * xhat' + bias'
-    dgain_rows = du_f * cache.xhat
+    dP_f, dgain, dbias = layernorm_bwd((cache.xhat, cache.istd, cache.gain_rows), du_f)
+    dhead["ln_gain"] += dgain
+    dhead["ln_bias"] += dbias
     dbias_rows = du_f
-    dxh_f = du_f * cache.gain_rows
-    m1 = dxh_f.mean(axis=1, keepdims=True)
-    m2 = (dxh_f * cache.xhat).mean(axis=1, keepdims=True)
-    dP_f = cache.istd * (dxh_f - m1 - cache.xhat * m2)
-
-    dhead["ln_gain"] += dgain_rows.sum(axis=0)
-    dhead["ln_bias"] += dbias_rows.sum(axis=0)
     dGg = np.zeros_like(grads.g_ln_gain)
     dGu = np.zeros_like(grads.g_u)
     if "ln_gain" in mask:
+        dgain_rows = du_f * cache.xhat
         dalpha["ln_gain"] = -float((dgain_rows * cache.cum["ln_gain"]).sum())
         dcum = -alpha["ln_gain"] * dgain_rows
         dGg += reverse_exclusive_cumsum_rows(dcum)
@@ -308,33 +305,31 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
         p = tape.probs
         dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
 
-    # ---- slow-forward reverse for everything that landed on slow activations
-    dhead["c"] += dLG_s.sum(axis=0)
-    dhead["E"] += tape.u.T @ dLG_s
-    dUo += dLG_s @ head.E.T
+    dH += _slow_forward_vjp(head, tape, dhead, dLG_s, dUo, dXH, dISTD, dVs, dZ_slow)
+    return dhead, dalpha, ddelta, dH
 
+
+def _slow_forward_vjp(head: hd.HeadParams, tape, dhead, dLG, dUo, dXH, dISTD, dVs, dZ):
+    """Reverse of hd.slow_forward for gradients that landed on its activations:
+    the logits (dLG), LayerNorm output (dUo), normalised rows (dXH), inverse
+    std (dISTD), squared-ReLU output (dVs) and pre-activation (dZ). Any but
+    dLG may be 0.0. Adds into dhead and returns the gradient w.r.t. the
+    context vectors."""
+    dhead["c"] += dLG.sum(axis=0)
+    dhead["E"] += tape.u.T @ dLG
+    dUo = dUo + dLG @ head.E.T
     dhead["ln_gain"] += (dUo * tape.xhat).sum(axis=0)
     dhead["ln_bias"] += dUo.sum(axis=0)
-    dXH += dUo * head.ln_gain
-
-    cdev = tape.xhat / tape.istd
-    dC = dXH * tape.istd
-    dISTD += (dXH * cdev).sum(axis=1, keepdims=True)
-    dvar = dISTD * (-0.5) * tape.istd ** 3
-    dC += (2.0 / d) * cdev * dvar
-    dPp = dC - dC.mean(axis=1, keepdims=True)
-
+    # xhat's path (which also runs through istd) by the LayerNorm backward,
+    # then istd's direct path: d istd / d pre_ln = -istd^2 * xhat / d
+    dPp, _, _ = layernorm_bwd((tape.xhat, tape.istd, 1.0), dXH + dUo * head.ln_gain)
+    dPp -= tape.xhat * (tape.istd ** 2 * dISTD / tape.xhat.shape[1])
     dhead["b"] += dPp.sum(axis=0)
-    dO_s = dPp
-    dVs += dO_s @ head.W.T
-    dhead["W"] += tape.v.T @ dO_s
-
-    dZ_slow += dVs * tape.relu_mask
-    dhead["U"] += H.T @ dZ_slow
-    dhead["a"] += dZ_slow.sum(axis=0)
-    dH += dZ_slow @ head.U.T
-
-    return dhead, dalpha, ddelta, dH
+    dhead["W"] += tape.v.T @ dPp
+    dZ = dZ + (dVs + dPp @ head.W.T) * tape.relu_mask
+    dhead["U"] += tape.h.T @ dZ
+    dhead["a"] += dZ.sum(axis=0)
+    return dZ @ head.U.T
 
 
 def head_slow_vjp(head: hd.HeadParams, tape, w):
@@ -342,7 +337,7 @@ def head_slow_vjp(head: hd.HeadParams, tape, w):
 
     w may be a scalar or a (T,) vector of per-position loss weights.
     """
-    T, d = tape.h.shape
+    T = tape.h.shape[0]
     dhead = _zero_head_grads(head)
     dLG = tape.probs.copy()
     dLG[np.arange(T), tape.targets] -= 1.0
@@ -350,26 +345,7 @@ def head_slow_vjp(head: hd.HeadParams, tape, w):
         dLG *= w
     else:
         dLG *= np.asarray(w)[:, None]
-    dhead["c"] += dLG.sum(axis=0)
-    dhead["E"] += tape.u.T @ dLG
-    dUo = dLG @ head.E.T
-    dhead["ln_gain"] += (dUo * tape.xhat).sum(axis=0)
-    dhead["ln_bias"] += dUo.sum(axis=0)
-    dXH = dUo * head.ln_gain
-    cdev = tape.xhat / tape.istd
-    dC = dXH * tape.istd
-    dISTD = (dXH * cdev).sum(axis=1, keepdims=True)
-    dvar = dISTD * (-0.5) * tape.istd ** 3
-    dC += (2.0 / d) * cdev * dvar
-    dPp = dC - dC.mean(axis=1, keepdims=True)
-    dhead["b"] += dPp.sum(axis=0)
-    dhead["W"] += tape.v.T @ dPp
-    dVs = dPp @ head.W.T
-    dZ = dVs * tape.relu_mask
-    dhead["U"] += tape.h.T @ dZ
-    dhead["a"] += dZ.sum(axis=0)
-    dH = dZ @ head.U.T
-    return dhead, dH
+    return dhead, _slow_forward_vjp(head, tape, dhead, dLG, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -616,14 +592,6 @@ def directional_derivative_check(model: Model, batch, config: TrainConfig,
         denom = max(abs(fd), abs(analytic), 1e-10)
         worst = max(worst, abs(analytic - fd) / denom)
     return worst
-
-
-def grad_check(model: Model, batch, config: TrainConfig, n_directions: int = 4,
-               seed: int = 0, carries: list[StreamCarry] | None = None) -> float:
-    """Compare the analytic total gradient against finite differences over
-    random directions. Returns the max relative error."""
-    return directional_derivative_check(model, batch, config, n_directions,
-                                        seed=seed, carries=carries)
 
 
 def make_windows(documents: list[np.ndarray], seq_len: int):

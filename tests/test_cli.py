@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from fastweight.checkpoint import load_checkpoint, save_checkpoint
 from fastweight.cli import main
 from fastweight.corpus import make_entity_corpus
 
@@ -131,4 +133,50 @@ def test_truncated_ckpt_is_config_error(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "truncated or corrupt" in err
+    assert "Traceback" not in err
+
+
+def test_binary_corpus_is_config_error(workdir, tmp_path, capsys):
+    ckpt = str(workdir / "run" / "final.ckpt")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(bytes(range(256)))
+    rc = main(["score", "--ckpt", ckpt, "--corpus", str(binary)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def _resaved(workdir, tmp_path, edit):
+    """The trained checkpoint, edited by edit(model) and saved again."""
+    snap = load_checkpoint(workdir / "run" / "final.ckpt")
+    edit(snap.model)
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, snap.model, snap.train_config, snap.opt_state, snap.step,
+                    snap.tokenizer)
+    return str(path)
+
+
+def test_ckpt_missing_tensor_is_config_error(workdir, tmp_path, capsys):
+    def two_layer_config(model):  # metadata asks for a layer the tensors lack
+        bcfg = dataclasses.replace(model.config.backbone, n_layers=2)
+        model.config = dataclasses.replace(model.config, backbone=bcfg)
+
+    ckpt = _resaved(workdir, tmp_path, two_layer_config)
+    rc = main(["score", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "bb.layers.1.ln1_g" in err
+    assert "Traceback" not in err
+
+
+def test_ckpt_misshapen_tensor_is_config_error(workdir, tmp_path, capsys):
+    def wide_embedding(model):
+        model.backbone.tok_emb = np.zeros((model.backbone.tok_emb.shape[0], 17))
+
+    ckpt = _resaved(workdir, tmp_path, wide_embedding)
+    rc = main(["score", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "bb.tok_emb" in err and "17)" in err
     assert "Traceback" not in err

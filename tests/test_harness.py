@@ -4,6 +4,7 @@ import pytest
 from fastweight import backbone as bb
 from fastweight import harness as hn
 from fastweight import head as hd
+from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData
 from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
@@ -210,6 +211,30 @@ def test_generate_zero_alpha_greedy_matches_baseline(small_ckpt):
     fwl = hn.generate(zero_ckpt, prompt, 10, temperature=0.0, seed=0, variant="fwl")
     base = hn.generate(zero_ckpt, prompt, 10, temperature=0.0, seed=0, variant="baseline")
     assert fwl == base
+
+
+def test_generate_prompt_offsets_match_oracle(small_ckpt, monkeypatch):
+    # the batched prompt pass must carry the sum of each prompt position's own
+    # full slow gradients, computed here by the independent oracle
+    ckpt, corpus = small_ckpt
+    model = ckpt.model
+    prompt = corpus.tokenizer.decode(corpus.documents[0][:20])
+    seen = []
+    step = hd.generate_step
+
+    def first_offsets(head, steps, offsets, *args):
+        seen.append(offsets.copy())
+        return step(head, steps, offsets, *args)
+
+    monkeypatch.setattr(hd, "generate_step", first_offsets)
+    hn.generate(ckpt, prompt, 1, temperature=0.0)
+    window = ckpt.tokenizer.encode(prompt)[-model.config.backbone.max_seq_len:]
+    H = bb.encode(model.backbone, np.array(window))
+    slow = dict(model.head.named())
+    for name in model.mask:
+        want = sum(oracle._full_grads(slow, H[t], int(window[t + 1]))[name]
+                   for t in range(len(window) - 1))
+        np.testing.assert_allclose(seen[0].acc[name], want, rtol=0, atol=1e-10)
 
 
 def test_repeated_ngram_fraction():

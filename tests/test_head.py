@@ -204,8 +204,8 @@ def test_generate_step_zero_alpha_matches_slow_sampling():
     steps = hd.StepSizes.uniform(0.0)
     offsets = hd.StreamState.zeros(head, steps.mask)
     out = hd.generate_step(head, steps, offsets, H[0], 1.0, np.random.default_rng(42))
-    logits, _ = hd.head_forward_single(dict(head.named()), H[0])
-    expected = hd.sample_token(logits, 1.0, np.random.default_rng(42))
+    tape, _ = hd.slow_forward(head, H, [0])
+    expected = hd.sample_token(tape.logits[0], 1.0, np.random.default_rng(42))
     assert out.token == expected
 
 

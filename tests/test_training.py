@@ -50,7 +50,7 @@ def test_slow_only_gradients_match_finite_difference():
     model = tiny_model()
     batch = tiny_batch(model, T=6)
     cfg = tr.TrainConfig(mode="slow-only")
-    err = tr.grad_check(model, batch, cfg, n_directions=3, seed=3)
+    err = tr.directional_derivative_check(model, batch, cfg, n_directions=3, seed=3)
     assert err < 1e-5
 
 
@@ -58,7 +58,7 @@ def test_full_mode_second_order_gradients_match_finite_difference():
     model = tiny_model()
     batch = tiny_batch(model, T=8)
     cfg = tr.TrainConfig(mode="full")
-    err = tr.grad_check(model, batch, cfg, n_directions=4, seed=4)
+    err = tr.directional_derivative_check(model, batch, cfg, n_directions=4, seed=4)
     assert err < 1e-4
 
 
@@ -68,7 +68,7 @@ def test_full_mode_gradients_every_mask(mask):
     model = tiny_model(mask=mask, seed=11)
     batch = tiny_batch(model, T=7, n_seqs=1, seed=12)
     cfg = tr.TrainConfig(mode="full")
-    err = tr.grad_check(model, batch, cfg, n_directions=3, seed=5)
+    err = tr.directional_derivative_check(model, batch, cfg, n_directions=3, seed=5)
     assert err < 1e-4
 
 
@@ -88,8 +88,8 @@ def test_streaming_gradients_match_finite_difference_with_gamma():
     assert any(np.abs(v).sum() > 0 for v in carry.pending.values())
 
     batch = tiny_batch(model, T=8, n_seqs=1, seed=13)
-    err = tr.grad_check(model, batch, cfg, n_directions=4, seed=6,
-                        carries=[carry])
+    err = tr.directional_derivative_check(model, batch, cfg, n_directions=4, seed=6,
+                                          carries=[carry])
     assert err < 1e-4
 
 
