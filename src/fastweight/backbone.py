@@ -307,14 +307,6 @@ def encode(params: BackboneParams, tokens) -> np.ndarray:
     return H
 
 
-def encode_segment(params: BackboneParams, tokens, memory: SegmentMemory):
-    """Segment-recurrent encode. Returns (H, new SegmentMemory)."""
-    H, _, new_mem = encode_with_cache(params, tokens, memory)
-    if new_mem is None:
-        new_mem = SegmentMemory.empty(params.cfg)
-    return H, new_mem
-
-
 def encode_backward(params: BackboneParams, cache, dH):
     """VJP of encode_with_cache. Returns dict key -> gradient array."""
     tokens, layer_caches, lnf_cache = cache

@@ -153,10 +153,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_perplexity(res, what: str):
+    """JSON has no Infinity or NaN: a non-finite score is a numerical failure."""
+    if not np.isfinite(res.perplexity):
+        raise NumericalError(f"{what} perplexity is {res.perplexity} "
+                             f"over {res.n_tokens} tokens")
+
+
 def cmd_score(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     corpus = _load_corpus_like(ckpt, args.corpus)
     res = harness.score(ckpt, corpus, args.variant, global_step=args.global_step)
+    _check_perplexity(res, f"{args.variant} variant")
     if args.nll_out:
         with open(args.nll_out, "w") as fh:
             for doc_nll in res.nll_docs:
@@ -180,6 +188,7 @@ def cmd_dyneval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     corpus = _load_corpus_like(ckpt, args.corpus)
     res = harness.dynamic_evaluate(ckpt, corpus, args.step_size, args.chunk_len)
+    _check_perplexity(res, f"dynamic evaluation (step size {args.step_size:g})")
     print(json.dumps({"perplexity": res.perplexity, "tokens": res.n_tokens,
                       "tokens_per_sec": round(res.tokens_per_sec, 1)}))
     return 0

@@ -14,7 +14,7 @@ from . import linear_attention as la
 from .checkpoint import CheckpointData
 from .corpus import UNK, Corpus, token_frequencies
 from .numerics import ConfigError
-from .training import Model, head_slow_vjp
+from .training import Model, doc_segments, head_slow_vjp, score_streams
 
 VARIANTS = ("baseline", "fwl", "test-time-only", "bias-only")
 
@@ -42,15 +42,6 @@ def _variant_steps(model: Model, variant: str, global_step) -> hd.StepSizes | No
     raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _doc_segments(doc: np.ndarray, seq_len: int):
-    """(tokens, targets, start) segments covering predictions 1..len(doc)-1."""
-    i = 0
-    while i < len(doc) - 1:
-        n = min(seq_len, len(doc) - 1 - i)
-        yield doc[i:i + n], doc[i + 1:i + n + 1], i
-        i += n
-
-
 @dataclass
 class ScoreResult:
     perplexity: float
@@ -65,32 +56,11 @@ def score(ckpt: CheckpointData, corpus: Corpus, variant: str = "baseline",
     documents longer than the window are scored as threaded segments."""
     _check_tokenizer(ckpt, corpus)
     model = ckpt.model
-    bcfg = model.config.backbone
-    seq_len = seq_len or bcfg.max_seq_len
+    seq_len = seq_len or model.config.backbone.max_seq_len
     steps = _variant_steps(model, variant, global_step)
-    gammas = model.gammas()
-    nll_docs = []
     t0 = time.perf_counter()
-    for doc in corpus.documents:
-        nlls = []
-        memory = bb.SegmentMemory.empty(bcfg) if bcfg.memory_len else None
-        state = hd.StreamState.zeros(model.head, steps.mask) if steps else None
-        for tokens, targets, _ in _doc_segments(doc, seq_len):
-            if memory is not None:
-                H, cache, memory = bb.encode_with_cache(model.backbone, tokens, memory)
-            else:
-                H = bb.encode(model.backbone, tokens)
-            tape, slow_losses = hd.slow_forward(model.head, H, targets)
-            if steps is None:
-                nlls.append(slow_losses)
-            else:
-                grads = hd.per_position_grads(model.head, tape)
-                fast = hd.fast_forward(model.head, steps, H, tape, grads,
-                                       state=state,
-                                       chunk_size=model.config.chunk_size)
-                nlls.append(fast.losses)
-                state = hd.update_stream_state(state, grads, tape, gammas)
-        nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
+    nll_docs = score_streams(
+        model, [list(doc_segments(doc, seq_len)) for doc in corpus.documents], steps)
     wall = time.perf_counter() - t0
     total = np.concatenate(nll_docs) if nll_docs else np.zeros(0)
     ppl = float(np.exp(total.mean())) if total.size else float("nan")
@@ -127,17 +97,15 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
         raise ConfigError(f"chunk_len must be >= 1, got {chunk_len}")
     _check_tokenizer(ckpt, corpus)
     base = ckpt.model
-    bcfg = base.config.backbone
+    seq_len = min(chunk_len, base.config.backbone.max_seq_len)
     nll_docs = []
     t0 = time.perf_counter()
     for doc in corpus.documents:
         model = base.copy()
-        memory = bb.SegmentMemory.empty(bcfg) if bcfg.memory_len else None
+        memory = None
         nlls = []
-        for tokens, targets, _ in _doc_segments(doc, min(chunk_len, bcfg.max_seq_len)):
-            H, bcache, new_memory = bb.encode_with_cache(model.backbone, tokens, memory)
-            if memory is not None:
-                memory = new_memory
+        for tokens, targets in doc_segments(doc, seq_len):
+            H, bcache, memory = bb.encode_with_cache(model.backbone, tokens, memory)
             tape, losses = hd.slow_forward(model.head, H, targets)
             nlls.append(losses)
             if step_size != 0.0:

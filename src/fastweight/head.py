@@ -122,8 +122,7 @@ class PositionTape:
     v: np.ndarray          # (T, m) squared-relu output
     relu_mask: np.ndarray  # (T, m) derivative 2*max(z, 0)
     o: np.ndarray          # (T, d) projection before bias
-    pre_ln: np.ndarray     # (T, d) o + b
-    xhat: np.ndarray       # (T, d) normalized pre_ln
+    xhat: np.ndarray       # (T, d) normalized o + b
     istd: np.ndarray       # (T, 1)
     u: np.ndarray          # (T, d) LayerNorm output
     logits: np.ndarray     # (T, V)
@@ -136,9 +135,8 @@ class PositionGrads:
     """Per-position gradients of each position's own loss (upstream rows).
 
     Full matrix gradients are rank one: dU_t = h_t^T g_z_t, dW_t = v_t^T g_o_t,
-    dE_t = u_t^T g_logits_t. Vector gradients are stored directly; the bias
-    rows alias their upstream counterparts (g_a = g_z, g_b = g_o, g_c =
-    g_logits, g_ln_bias = g_u).
+    dE_t = u_t^T g_logits_t. Vector gradients are stored directly; a bias's
+    rows are its upstream rows (`rows` maps each tensor to its own).
     """
 
     g_logits: np.ndarray   # (T, V)
@@ -147,22 +145,6 @@ class PositionGrads:
     g_z: np.ndarray        # (T, m)
     g_ln_gain: np.ndarray  # (T, d)
 
-    @property
-    def g_c(self):
-        return self.g_logits
-
-    @property
-    def g_ln_bias(self):
-        return self.g_u
-
-    @property
-    def g_b(self):
-        return self.g_o
-
-    @property
-    def g_a(self):
-        return self.g_z
-
     def rows(self, name: str) -> np.ndarray:
         return {
             "U": self.g_z, "a": self.g_z,
@@ -170,10 +152,6 @@ class PositionGrads:
             "ln_gain": self.g_ln_gain, "ln_bias": self.g_u,
             "E": self.g_logits, "c": self.g_logits,
         }[name]
-
-
-def tensor_shape(head: HeadParams, name: str) -> tuple:
-    return head.tensor(name).shape
 
 
 @dataclass
@@ -189,17 +167,14 @@ class StreamState:
 
     @staticmethod
     def zeros(head: HeadParams, mask: tuple[str, ...]) -> "StreamState":
-        return StreamState({n: np.zeros(tensor_shape(head, n)) for n in mask})
-
-    def copy(self) -> "StreamState":
-        return StreamState({k: v.copy() for k, v in self.acc.items()})
+        return StreamState({n: np.zeros(head.tensor(n).shape) for n in mask})
 
 
 def _check_state(state: StreamState, head: HeadParams, mask) -> None:
     for name in mask:
         if name not in state.acc:
             raise StateError(f"stream state missing accumulator for {name!r}")
-        want = tensor_shape(head, name)
+        want = head.tensor(name).shape
         got = state.acc[name].shape
         if got != want:
             raise StateError(f"stream accumulator {name!r} has shape {got}, expected {want}")
@@ -216,11 +191,10 @@ def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape
     z = H @ head.U + head.a
     v, relu_mask = relu2(z)
     o = v @ head.W
-    pre_ln = o + head.b
-    u, (xhat, istd, _) = layernorm_fwd(pre_ln, head.ln_gain, head.ln_bias)
+    u, (xhat, istd, _) = layernorm_fwd(o + head.b, head.ln_gain, head.ln_bias)
     logits = u @ head.E + head.c
     losses, probs = softmax_xent_rows(logits, targets)
-    tape = PositionTape(H, targets, z, v, relu_mask, o, pre_ln, xhat, istd,
+    tape = PositionTape(H, targets, z, v, relu_mask, o, xhat, istd,
                         u, logits, probs, losses)
     return tape, losses
 
@@ -248,21 +222,17 @@ def per_position_grads(head: HeadParams, tape: PositionTape,
 
 @dataclass
 class FastCache:
-    """Fast-pass intermediates kept for the training backward."""
+    """Fast-pass intermediates read by the training backward (references,
+    not copies)."""
 
     att: dict[str, np.ndarray]      # linear-attention terms, incl. stream init
     cum: dict[str, np.ndarray]      # cumulative vector terms, incl. stream acc
-    z: np.ndarray
     relu_mask: np.ndarray
     v: np.ndarray
-    o: np.ndarray
-    pre_ln: np.ndarray
     xhat: np.ndarray
     istd: np.ndarray
-    gain_rows: np.ndarray           # (T, d) per-position effective gain
-    bias_rows: np.ndarray           # (T, d)
+    gain_rows: np.ndarray           # (T, d) per-position gain; may be a broadcast view
     u: np.ndarray
-    logits: np.ndarray
     probs: np.ndarray
 
 
@@ -270,13 +240,12 @@ class FastCache:
 class FastResult:
     losses: np.ndarray
     logits: np.ndarray
-    cache: FastCache | None = None
+    cache: FastCache
 
 
 def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
                  tape: PositionTape, grads: PositionGrads,
-                 state: StreamState | None = None, chunk_size: int = 64,
-                 return_cache: bool = False) -> FastResult:
+                 state: StreamState | None = None, chunk_size: int = 64) -> FastResult:
     """Second pass with evolving fast weights, computed in parallel.
 
     Layers are recomposed in order (U/a, squared ReLU, W/b, LayerNorm, E/c) so
@@ -370,11 +339,8 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
     else:
         logits, probs, losses = tape.logits, tape.probs, tape.losses
 
-    cache = None
-    if return_cache:
-        cache = FastCache(att, cum, z, relu_mask, v, o, pre_ln, xhat, istd,
-                          np.array(gain_rows), np.array(bias_rows), u, logits, probs)
-    return FastResult(losses, logits, cache)
+    return FastResult(losses, logits,
+                      FastCache(att, cum, relu_mask, v, xhat, istd, gain_rows, u, probs))
 
 
 def segment_grad_sums(tape: PositionTape, grads: PositionGrads,
@@ -425,7 +391,6 @@ class GenStep:
     token: int
     offsets: StreamState
     fast_loss: float
-    fast_logits: np.ndarray
 
 
 def generate_step(head: HeadParams, steps: StepSizes, offsets: StreamState,
@@ -449,4 +414,4 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: StreamState,
         grads = head_grads_single(head, h, token)
         for name in steps.mask:
             new_acc[name] = offsets.acc[name] + grads[name]
-    return GenStep(token, StreamState(new_acc), fast_loss, logits)
+    return GenStep(token, StreamState(new_acc), fast_loss)

@@ -22,13 +22,6 @@ class KVState:
 
     accumulator: np.ndarray  # (d_key, d_value)
 
-    @staticmethod
-    def zeros(d_key: int, d_value: int) -> "KVState":
-        return KVState(np.zeros((d_key, d_value)))
-
-    def copy(self) -> "KVState":
-        return KVState(self.accumulator.copy())
-
 
 def _check_qkv(q, k, v, init):
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:

@@ -15,6 +15,10 @@ by hand in three sweeps, mirroring how the loss was built:
 Stream accumulators carried across segments are constants (stop-gradient);
 their decay factors are applied inside the step, which is the one place the
 decays touch the loss.
+
+The module also holds the one document segmenter (`doc_segments`) and the
+one scoring loop (`score_streams`), shared by `fit`'s dev NLL and
+`harness.score`.
 """
 
 import time
@@ -140,7 +144,7 @@ class StreamCarry:
     def fresh(model: Model) -> "StreamCarry":
         mem = (bb.SegmentMemory.empty(model.config.backbone)
                if model.config.backbone.memory_len else None)
-        zeros = {n: np.zeros(hd.tensor_shape(model.head, n)) for n in model.mask}
+        zeros = {n: np.zeros(model.head.tensor(n).shape) for n in model.mask}
         return StreamCarry(mem, zeros, {k: v.copy() for k, v in zeros.items()})
 
 
@@ -357,8 +361,7 @@ class SequenceResult:
 
 def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
                             carry: StreamCarry | None = None, w: float = 1.0,
-                            first_order: bool = False,
-                            with_backbone_grads: bool = True) -> SequenceResult:
+                            first_order: bool = False) -> SequenceResult:
     """Loss and exact gradients of one sequence (one segment when carry is set).
 
     `w` scales the objective contribution: the caller passes 1/total_tokens to
@@ -392,8 +395,7 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
                 n: gammas[n] * carry.delta_prev[n] + carry.pending[n]
                 for n in model.mask})
         fast = hd.fast_forward(model.head, steps, H, tape, pos_grads,
-                               state=state, chunk_size=model.config.chunk_size,
-                               return_cache=True)
+                               state=state, chunk_size=model.config.chunk_size)
         losses = fast.losses
         dhead, dalpha, ddelta, dH = head_fast_vjp(
             model.head, steps, H, tape, pos_grads, fast, state,
@@ -415,7 +417,7 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
 
     for name, g in dhead.items():
         grads_out[f"head.{name}"] = g
-    if with_backbone_grads and mode != "fwl-finetune":
+    if mode != "fwl-finetune":
         for key, g in bb.encode_backward(model.backbone, bcache, dH).items():
             grads_out[f"bb.{key}"] = g
     else:
@@ -594,35 +596,48 @@ def directional_derivative_check(model: Model, batch, config: TrainConfig,
     return worst
 
 
+def doc_segments(doc: np.ndarray, seq_len: int):
+    """(tokens, targets) segments of at most seq_len positions covering the
+    predictions 1..len(doc)-1 of one document, in order."""
+    i = 0
+    while i < len(doc) - 1:
+        n = min(seq_len, len(doc) - 1 - i)
+        yield doc[i:i + n], doc[i + 1:i + n + 1]
+        i += n
+
+
 def make_windows(documents: list[np.ndarray], seq_len: int):
-    """Fixed-length (inputs, targets) pairs from within-document windows."""
-    windows = []
-    for doc in documents:
-        for s in range(0, len(doc) - 1, seq_len):
-            chunk = doc[s:s + seq_len + 1]
-            if len(chunk) >= 2:
-                windows.append((chunk[:-1], chunk[1:]))
-    return windows
+    """Every document's segments, as one list of (tokens, targets) pairs."""
+    return [seg for doc in documents for seg in doc_segments(doc, seq_len)]
 
 
-def dev_mean_nll(model: Model, documents: list[np.ndarray], mode: str,
-                 seq_len: int) -> float:
-    """Mean per-token NLL over window-scored documents, matching the mode's
-    objective (slow losses for slow-only, fast losses otherwise)."""
-    total, count = 0.0, 0
-    steps = model.step_sizes()
-    for tokens, targets in make_windows(documents, seq_len):
-        H = bb.encode(model.backbone, tokens)
-        tape, slow_losses = hd.slow_forward(model.head, H, targets)
-        if mode == "slow-only":
-            losses = slow_losses
-        else:
+def score_streams(model: Model, streams, steps: hd.StepSizes | None) -> list[np.ndarray]:
+    """Per-token NLL of each stream, a list of (tokens, targets) segments.
+
+    Fast state and backbone memory carry across the segments of a stream and
+    reset between streams. With steps None these are the slow losses, else
+    the fast-pass losses under those step sizes.
+    """
+    gammas = model.gammas()
+    nll_streams = []
+    for stream in streams:
+        nlls = []
+        memory = None
+        state = hd.StreamState.zeros(model.head, steps.mask) if steps is not None else None
+        for i, (tokens, targets) in enumerate(stream):
+            H, _, memory = bb.encode_with_cache(model.backbone, tokens, memory)
+            tape, slow_losses = hd.slow_forward(model.head, H, targets)
+            if steps is None:
+                nlls.append(slow_losses)
+                continue
             grads = hd.per_position_grads(model.head, tape)
-            losses = hd.fast_forward(model.head, steps, H, tape, grads,
-                                     chunk_size=model.config.chunk_size).losses
-        total += float(losses.sum())
-        count += len(losses)
-    return total / max(count, 1)
+            fast = hd.fast_forward(model.head, steps, H, tape, grads, state=state,
+                                   chunk_size=model.config.chunk_size)
+            nlls.append(fast.losses)
+            if i + 1 < len(stream):  # the state after a stream's last segment has no reader
+                state = hd.update_stream_state(state, grads, tape, gammas)
+        nll_streams.append(np.concatenate(nlls) if nlls else np.zeros(0))
+    return nll_streams
 
 
 def _epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
@@ -678,6 +693,7 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
     windows = make_windows(train_docs, config.seq_len)
     if not windows:
         raise ConfigError("corpus produced no training windows")
+    dev_streams = [[w] for w in make_windows(dev_docs, config.seq_len)]
     batches_per_epoch = max(1, -(-len(windows) // config.batch_size))
 
     metrics_f = None
@@ -706,11 +722,7 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
             if not lane_queues[lane]:
                 order = _epoch_order(len(train_docs), config.seed,
                                      7919 + lane * 104729 + step)
-                doc = train_docs[order[0]]
-                lane_queues[lane] = [
-                    (doc[s:s + config.seq_len + 1][:-1], doc[s:s + config.seq_len + 1][1:])
-                    for s in range(0, len(doc) - 1, config.seq_len)
-                    if len(doc[s:s + config.seq_len + 1]) >= 2]
+                lane_queues[lane] = make_windows([train_docs[order[0]]], config.seq_len)
                 carries[lane] = StreamCarry.fresh(model)
             batch.append(lane_queues[lane].pop(0))
         return batch
@@ -743,7 +755,10 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
                 "wall_ms": round(wall_ms, 3),
             }
             if (step + 1) % config.eval_every == 0 or step + 1 == config.total_steps:
-                dev_nll = dev_mean_nll(model, dev_docs, config.mode, config.seq_len)
+                # every dev window is scored as its own stream
+                steps = None if config.mode == "slow-only" else model.step_sizes()
+                nlls = score_streams(model, dev_streams, steps)
+                dev_nll = sum(float(n.sum()) for n in nlls) / max(sum(n.size for n in nlls), 1)
                 record["dev_nll"] = dev_nll
                 record["dev_ppl"] = float(np.exp(min(dev_nll, 700.0)))
                 if dev_nll < best_dev:

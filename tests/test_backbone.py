@@ -108,7 +108,7 @@ def test_encode_matches_per_head_loop_reference(memory_len):
     seg1 = rng.integers(0, 11, size=7)
     seg2 = rng.integers(0, 11, size=9)
     if memory_len:
-        _, memory = bb.encode_segment(params, seg1, bb.SegmentMemory.empty(params.cfg))
+        _, _, memory = bb.encode_with_cache(params, seg1, bb.SegmentMemory.empty(params.cfg))
         assert all(m.shape[0] == memory_len for m in memory.activations)
         mems = memory.activations
     else:
@@ -206,7 +206,8 @@ def test_segment_with_empty_memory_matches_encode():
     params = bb.init_backbone(tiny_config(memory_len=8))
     tokens = np.random.default_rng(4).integers(0, 11, size=10)
     H_plain = bb.encode(params, tokens)
-    H_seg, new_mem = bb.encode_segment(params, tokens, bb.SegmentMemory.empty(params.cfg))
+    H_seg, _, new_mem = bb.encode_with_cache(params, tokens,
+                                             bb.SegmentMemory.empty(params.cfg))
     np.testing.assert_array_equal(H_plain, H_seg)
     assert all(m.shape[0] == 8 for m in new_mem.activations)
 
@@ -216,8 +217,8 @@ def test_segment_memory_changes_output():
     rng = np.random.default_rng(5)
     seg1 = rng.integers(0, 11, size=8)
     seg2 = rng.integers(0, 11, size=8)
-    _, mem = bb.encode_segment(params, seg1, bb.SegmentMemory.empty(params.cfg))
-    H_with, _ = bb.encode_segment(params, seg2, mem)
+    _, _, mem = bb.encode_with_cache(params, seg1, bb.SegmentMemory.empty(params.cfg))
+    H_with, _, _ = bb.encode_with_cache(params, seg2, mem)
     H_without = bb.encode(params, seg2)
     assert not np.allclose(H_with, H_without)
 
@@ -229,7 +230,7 @@ def test_segment_memory_stop_gradient():
     rng = np.random.default_rng(6)
     seg1 = rng.integers(0, 11, size=6)
     seg2 = rng.integers(0, 11, size=7)
-    _, mem = bb.encode_segment(params, seg1, bb.SegmentMemory.empty(params.cfg))
+    _, _, mem = bb.encode_with_cache(params, seg1, bb.SegmentMemory.empty(params.cfg))
     R = rng.normal(size=(7, 16))
 
     H, cache, _ = bb.encode_with_cache(params, seg2, mem)

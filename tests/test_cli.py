@@ -180,3 +180,27 @@ def test_ckpt_misshapen_tensor_is_config_error(workdir, tmp_path, capsys):
     assert rc == 1
     assert "bb.tok_emb" in err and "17)" in err
     assert "Traceback" not in err
+
+
+def test_score_non_finite_perplexity_is_numerical_error(workdir, tmp_path, capsys):
+    def huge_steps(model):
+        for n in model.alpha:
+            model.alpha[n] = np.float64(1e6)
+
+    ckpt = _resaved(workdir, tmp_path, huge_steps)
+    rc = main(["score", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
+               "--variant", "fwl"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "perplexity" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
+    ckpt = str(workdir / "run" / "final.ckpt")
+    rc = main(["dyneval", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
+               "--step-size", "1e4", "--chunk-len", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "perplexity" in err and "Traceback" not in err
+    assert out == ""

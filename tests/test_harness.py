@@ -79,6 +79,25 @@ def test_score_long_document_streams_segments(small_ckpt):
     assert np.all(np.isfinite(res.nll_docs[0]))
 
 
+def test_score_threads_fast_state_across_segments(small_ckpt):
+    # with every decay exactly 1, a document scored in segments is one
+    # sequential fast pass over its segments' context vectors
+    ckpt, corpus = small_ckpt
+    model = ckpt.model.copy()
+    for n in model.mask:
+        model.gamma_raw[n] = np.float64(40.0)  # the sigmoid rounds to 1.0
+    assert all(g == 1.0 for g in model.gammas().values())
+    doc = np.concatenate(corpus.documents[:3])
+    seq_len = model.config.backbone.max_seq_len
+    assert len(doc) - 1 > 2 * seq_len
+    res = hn.score(CheckpointData(model, None, ckpt.tokenizer, None, 0),
+                   Corpus([doc], corpus.tokenizer), "fwl")
+    H = np.vstack([bb.encode(model.backbone, doc[s:min(s + seq_len, len(doc) - 1)])
+                   for s in range(0, len(doc) - 1, seq_len)])
+    ref = oracle.sequential_fast_forward(model.head, model.step_sizes(), H, doc[1:])
+    np.testing.assert_allclose(res.nll_docs[0], ref, rtol=0, atol=1e-9)
+
+
 def test_score_tokenizer_mismatch_raises(small_ckpt):
     ckpt, _ = small_ckpt
     other = corpus_from_text("completely different words", "word")
@@ -223,7 +242,7 @@ def test_generate_prompt_offsets_match_oracle(small_ckpt, monkeypatch):
     step = hd.generate_step
 
     def first_offsets(head, steps, offsets, *args):
-        seen.append(offsets.copy())
+        seen.append(offsets)  # a value: generate_step returns new offsets
         return step(head, steps, offsets, *args)
 
     monkeypatch.setattr(hd, "generate_step", first_offsets)

@@ -45,7 +45,7 @@ def test_per_position_grads_softmax_row():
     grads = hd.per_position_grads(head, tape)
     expected = tape.probs.copy()
     expected[np.arange(len(targets)), targets] -= 1.0
-    np.testing.assert_allclose(grads.g_c, expected)
+    np.testing.assert_allclose(grads.g_logits, expected)
 
 
 def test_rank_one_outer_product_matches_finite_difference_U():

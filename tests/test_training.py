@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastweight import backbone as bb
+from fastweight import harness as hn
 from fastweight import head as hd
+from fastweight import oracle
 from fastweight import training as tr
-from fastweight.checkpoint import load_checkpoint, save_checkpoint
-from fastweight.corpus import corpus_from_text, make_entity_corpus
+from fastweight.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
+from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
 
 
 def tiny_model(mask=hd.MASK_ALL, seed=0, vocab=5, d_model=8, n_layers=2,
@@ -265,3 +269,48 @@ def test_fit_reduces_loss_and_resumes_exactly(tmp_path):
     assert abs(lines_c[-1]["loss"] - full[-1]["loss"]) < 1e-10
     for (ka, va), (kb, vb) in zip(res.model.named_params(), res_c.model.named_params()):
         np.testing.assert_allclose(va, vb, atol=1e-10, err_msg=ka)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 80), seq_len=st.integers(1, 24))
+def test_doc_segments_cover_each_prediction_once(n, seq_len):
+    doc = np.arange(n) + 100  # distinct tokens: a token names its position
+    segments = tr.make_windows([doc], seq_len)
+    predicted = [int(t) - 100 for _, targets in segments for t in targets]
+    assert predicted == list(range(1, n))
+    for tokens, targets in segments:
+        assert 1 <= len(tokens) == len(targets) <= seq_len
+        np.testing.assert_array_equal(tokens + 1, targets)
+
+
+@pytest.mark.parametrize("mode", ["slow-only", "full"])
+def test_fit_dev_nll_scores_each_window_as_its_own_stream(mode):
+    # the dev NLL resets fast state and backbone memory at every seq_len
+    # window, so it matches the oracle window by window and differs from
+    # scoring the same document as one threaded stream
+    corpus = corpus_from_text(make_entity_corpus(10, seed=8), "word")
+    tok = corpus.tokenizer
+    seq_len = 16
+    dev_doc = np.concatenate(corpus.documents[-3:])
+    assert len(dev_doc) - 1 > 2 * seq_len
+    mc = tr.ModelConfig(
+        backbone=bb.BackboneConfig(vocab_size=corpus.vocab_size, d_model=8,
+                                   n_layers=1, n_heads=2, d_ff=16, max_seq_len=16,
+                                   memory_len=8, seed=2),
+        d_hidden=8, chunk_size=4)
+    cfg = tr.TrainConfig(mode=mode, total_steps=1, batch_size=2, seq_len=seq_len,
+                         eval_every=1, seed=3)
+    res = tr.fit(Corpus(corpus.documents[:-3], tok), cfg, mc,
+                 dev_corpus=Corpus([dev_doc], tok))
+    model = res.model
+    steps = model.step_sizes() if mode == "full" else hd.StepSizes.uniform(0.0, ())
+    ref = []
+    for s in range(0, len(dev_doc) - 1, seq_len):
+        window = dev_doc[s:s + seq_len + 1]
+        H = bb.encode(model.backbone, window[:-1])
+        ref.append(oracle.sequential_fast_forward(model.head, steps, H, window[1:]))
+    ref_nll = float(np.concatenate(ref).mean())
+    assert abs(res.best_dev_nll - ref_nll) <= 1e-9
+    threaded = hn.score(CheckpointData(model, None, tok, None, 0), Corpus([dev_doc], tok),
+                        "baseline" if mode == "slow-only" else "fwl", seq_len=seq_len)
+    assert abs(float(threaded.nll_docs[0].mean()) - ref_nll) > 1e-6
