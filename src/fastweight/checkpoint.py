@@ -103,16 +103,24 @@ def save_checkpoint(path, model: Model, train_config: TrainConfig | None,
             tensors.append((f"opt.m.{k}", v))
         for k, v in opt_state["v"].items():
             tensors.append((f"opt.v.{k}", v))
+    # written beside the target and renamed over it, so a failed write leaves
+    # the old checkpoint whole
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            blob = json.dumps(meta).encode("utf-8")
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<Q", len(tensors)))
-            for name, arr in tensors:
-                _write_tensor(f, name, arr)
+        try:
+            with open(tmp, "wb") as f:
+                f.write(MAGIC)
+                f.write(struct.pack("<I", VERSION))
+                blob = json.dumps(meta).encode("utf-8")
+                f.write(struct.pack("<Q", len(blob)))
+                f.write(blob)
+                f.write(struct.pack("<Q", len(tensors)))
+                for name, arr in tensors:
+                    _write_tensor(f, name, arr)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     except OSError as e:
         raise OSError(f"cannot write checkpoint {path}: {e}") from e
 

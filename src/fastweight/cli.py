@@ -115,17 +115,36 @@ def _load_corpus_like(ckpt, path):
     return ingest(path, tok if tok is not None else "char")
 
 
+def _read_config(path) -> dict:
+    """The --config file: {"train": {TrainConfig fields}, "model":
+    {ModelConfig or BackboneConfig fields}}, each section optional."""
+    with open(path) as fh:
+        try:
+            overrides = json.load(fh)
+        except ValueError as e:
+            raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    known = {"train": {f.name for f in dataclasses.fields(tr.TrainConfig)},
+             "model": {f.name for c in (tr.ModelConfig, bb.BackboneConfig)
+                       for f in dataclasses.fields(c)} - {"backbone"}}
+    if (not isinstance(overrides, dict) or set(overrides) - set(known)
+            or not all(isinstance(v, dict) for v in overrides.values())):
+        raise ConfigError(f"{path} must hold a JSON object with only \"train\" "
+                          "and \"model\" objects")
+    for section, value in overrides.items():
+        if set(value) - known[section]:
+            raise ConfigError(f"{path}: unknown {section} settings "
+                              f"{sorted(set(value) - known[section])}")
+    return overrides
+
+
 def cmd_train(args) -> int:
     tcfg_kwargs = {}
     for f in dataclasses.fields(tr.TrainConfig):
         v = getattr(args, f.name, None)
         if v is not None:
             tcfg_kwargs[f.name] = v
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-        tcfg_kwargs.update(overrides.get("train", {}))
+    overrides = _read_config(args.config) if args.config else {}
+    tcfg_kwargs.update(overrides.get("train", {}))
     tcfg = tr.TrainConfig(**tcfg_kwargs).validate()
 
     corpus = ingest(args.train, args.tokenizer)

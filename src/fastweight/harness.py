@@ -50,6 +50,15 @@ class ScoreResult:
     n_tokens: int
 
 
+def _score_result(nll_docs: list[np.ndarray], wall: float) -> ScoreResult:
+    """A mean NLL past ~709 overflows exp to an infinite perplexity; that is
+    the result, not a warning (the CLI turns it into exit 3)."""
+    total = np.concatenate(nll_docs) if nll_docs else np.zeros(0)
+    with np.errstate(over="ignore"):
+        ppl = float(np.exp(total.mean())) if total.size else float("nan")
+    return ScoreResult(ppl, nll_docs, total.size / max(wall, 1e-9), total.size)
+
+
 def score(ckpt: CheckpointData, corpus: Corpus, variant: str = "baseline",
           global_step: float | None = None, seq_len: int | None = None) -> ScoreResult:
     """Teacher-forced perplexity. Fast state resets at document boundaries;
@@ -61,10 +70,7 @@ def score(ckpt: CheckpointData, corpus: Corpus, variant: str = "baseline",
     t0 = time.perf_counter()
     nll_docs = score_streams(
         model, [list(doc_segments(doc, seq_len)) for doc in corpus.documents], steps)
-    wall = time.perf_counter() - t0
-    total = np.concatenate(nll_docs) if nll_docs else np.zeros(0)
-    ppl = float(np.exp(total.mean())) if total.size else float("nan")
-    return ScoreResult(ppl, nll_docs, total.size / max(wall, 1e-9), total.size)
+    return _score_result(nll_docs, time.perf_counter() - t0)
 
 
 def tune_global_step(ckpt: CheckpointData, dev_corpus: Corpus, grid) -> tuple[float, float]:
@@ -116,10 +122,7 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
                 for key, g in bgrads.items():
                     model.backbone.set(key, model.backbone.get(key) - step_size * g)
         nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
-    wall = time.perf_counter() - t0
-    total = np.concatenate(nll_docs)
-    return ScoreResult(float(np.exp(total.mean())), nll_docs,
-                       total.size / max(wall, 1e-9), total.size)
+    return _score_result(nll_docs, time.perf_counter() - t0)
 
 
 @dataclass

@@ -29,13 +29,20 @@ from .numerics import (
 )
 
 TENSOR_NAMES = ("U", "a", "W", "b", "ln_gain", "ln_bias", "E", "c")
-MATRIX_TENSORS = ("U", "W", "E")
-VECTOR_TENSORS = ("a", "b", "ln_gain", "ln_bias", "c")
+
+# The one table of each fast tensor's gradient: ROWS names its per-position
+# upstream rows (a PositionGrads field), KEYS a matrix's slow-pass inputs (a
+# PositionTape field). A vector's gradient at t is rows_t, so its fast update
+# is an exclusive cumsum; a matrix's is keys_t^T rows_t, so its fast update is
+# causal linear attention over the keys.
+ROWS = {"U": "g_z", "a": "g_z", "W": "g_o", "b": "g_o",
+        "ln_gain": "g_ln_gain", "ln_bias": "g_u", "E": "g_logits", "c": "g_logits"}
+KEYS = {"U": "h", "W": "v", "E": "u"}
 
 MASK_ALL = TENSOR_NAMES
 MASK_BIAS_ONLY = ("c",)
-MASK_VECTORS = VECTOR_TENSORS
-MASK_MATRICES = MATRIX_TENSORS
+MASK_VECTORS = tuple(n for n in TENSOR_NAMES if n not in KEYS)
+MASK_MATRICES = tuple(KEYS)
 
 
 @dataclass
@@ -136,7 +143,7 @@ class PositionGrads:
 
     Full matrix gradients are rank one: dU_t = h_t^T g_z_t, dW_t = v_t^T g_o_t,
     dE_t = u_t^T g_logits_t. Vector gradients are stored directly; a bias's
-    rows are its upstream rows (`rows` maps each tensor to its own).
+    rows are its upstream rows (`rows` maps each tensor to its own, by ROWS).
     """
 
     g_logits: np.ndarray   # (T, V)
@@ -146,12 +153,7 @@ class PositionGrads:
     g_ln_gain: np.ndarray  # (T, d)
 
     def rows(self, name: str) -> np.ndarray:
-        return {
-            "U": self.g_z, "a": self.g_z,
-            "W": self.g_o, "b": self.g_o,
-            "ln_gain": self.g_ln_gain, "ln_bias": self.g_u,
-            "E": self.g_logits, "c": self.g_logits,
-        }[name]
+        return getattr(self, ROWS[name])
 
 
 @dataclass
@@ -255,86 +257,49 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
     """
     H = as_f64(H)
     mask = set(steps.mask)
-    alpha = steps.alpha
     if state is not None:
         _check_state(state, head, mask)
-
-    def acc(name):
-        if state is not None and name in state.acc:
-            return state.acc[name]
-        return None
-
-    def mat_term(name, q, k, vv):
-        init = acc(name)
-        init_state = la.KVState(init) if init is not None else None
-        out, _ = la.chunked_causal_linear_attention(q, k, vv, chunk_size, init_state)
-        return out
-
-    def vec_term(name, rows):
-        out = exclusive_cumsum_rows(rows)
-        a0 = acc(name)
-        if a0 is not None:
-            out = out + a0
-        return out
-
     att: dict[str, np.ndarray] = {}
     cum: dict[str, np.ndarray] = {}
-    T = H.shape[0]
 
-    dirty = False
-    z = tape.z
-    if "U" in mask:
-        att["U"] = mat_term("U", H, tape.h, grads.g_z)
-        z = z - alpha["U"] * att["U"]
-        dirty = True
-    if "a" in mask:
-        cum["a"] = vec_term("a", grads.g_z)
-        z = z - alpha["a"] * cum["a"]
-        dirty = True
+    def minus_fast(x, q, *names):
+        """x minus alpha * (summed earlier gradients, from the stream
+        accumulator on) for each masked tensor in names: linear attention with
+        queries q for a matrix, an exclusive cumsum for a vector."""
+        for name in names:
+            if name not in mask:
+                continue
+            init = state.acc[name] if state is not None else None
+            rows = grads.rows(name)
+            if name in KEYS:
+                term, _ = la.chunked_causal_linear_attention(
+                    q, getattr(tape, KEYS[name]), rows, chunk_size,
+                    la.KVState(init) if init is not None else None)
+                att[name] = term
+            else:
+                term = exclusive_cumsum_rows(rows)
+                if init is not None:
+                    term = term + init
+                cum[name] = term
+            x = x - steps.alpha[name] * term
+        return x
 
-    if dirty:
-        v, relu_mask = relu2(z)
+    # a layer is recomputed only if a tensor at or below it is fast
+    if mask & {"U", "a"}:
+        v, relu_mask = relu2(minus_fast(tape.z, H, "U", "a"))
     else:
         v, relu_mask = tape.v, tape.relu_mask
-
-    if dirty or "W" in mask:
-        o = v @ head.W
-        if "W" in mask:
-            att["W"] = mat_term("W", v, tape.v, grads.g_o)
-            o = o - alpha["W"] * att["W"]
-        dirty = True
-    else:
-        o = tape.o
-
-    pre_ln = o + head.b
-    if "b" in mask:
-        cum["b"] = vec_term("b", grads.g_o)
-        pre_ln = pre_ln - alpha["b"] * cum["b"]
-        dirty = True
-
-    gain_rows = np.broadcast_to(head.ln_gain, (T, head.d_model))
-    if "ln_gain" in mask:
-        cum["ln_gain"] = vec_term("ln_gain", grads.g_ln_gain)
-        gain_rows = head.ln_gain - alpha["ln_gain"] * cum["ln_gain"]
-    bias_rows = np.broadcast_to(head.ln_bias, (T, head.d_model))
-    if "ln_bias" in mask:
-        cum["ln_bias"] = vec_term("ln_bias", grads.g_u)
-        bias_rows = head.ln_bias - alpha["ln_bias"] * cum["ln_bias"]
-
-    if dirty or "ln_gain" in mask or "ln_bias" in mask:
-        u, (xhat, istd, _) = layernorm_fwd(pre_ln, gain_rows, bias_rows)
-        dirty = True
+    T, d = tape.u.shape
+    gain_rows = minus_fast(np.broadcast_to(head.ln_gain, (T, d)), None, "ln_gain")
+    if mask - {"E", "c"}:
+        o = minus_fast(v @ head.W, v, "W") if mask & {"U", "a", "W"} else tape.o
+        bias_rows = minus_fast(np.broadcast_to(head.ln_bias, (T, d)), None, "ln_bias")
+        u, (xhat, istd, _) = layernorm_fwd(minus_fast(o + head.b, None, "b"),
+                                           gain_rows, bias_rows)
     else:
         xhat, istd, u = tape.xhat, tape.istd, tape.u
-
-    if dirty or "E" in mask or "c" in mask:
-        logits = u @ head.E + head.c
-        if "E" in mask:
-            att["E"] = mat_term("E", u, tape.u, grads.g_logits)
-            logits = logits - alpha["E"] * att["E"]
-        if "c" in mask:
-            cum["c"] = vec_term("c", grads.g_logits)
-            logits = logits - alpha["c"] * cum["c"]
+    if mask:
+        logits = minus_fast(u @ head.E + head.c, u, "E", "c")
         losses, probs = softmax_xent_rows(logits, tape.targets)
     else:
         logits, probs, losses = tape.logits, tape.probs, tape.losses
@@ -349,11 +314,10 @@ def segment_grad_sums(tape: PositionTape, grads: PositionGrads,
     sums = {}
     for name in mask:
         rows = grads.rows(name)
-        if name in MATRIX_TENSORS:
-            keys = {"U": tape.h, "W": tape.v, "E": tape.u}[name]
+        if name in KEYS:
             # np.dot, not @: at T=1 matmul takes the (d, 1) transposed view
             # off BLAS and is ~4x slower; the results are equal
-            sums[name] = np.dot(keys.T, rows)
+            sums[name] = np.dot(getattr(tape, KEYS[name]).T, rows)
         else:
             sums[name] = rows.sum(axis=0)
     return sums

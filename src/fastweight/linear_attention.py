@@ -74,8 +74,7 @@ def chunked_causal_linear_attention(q, k, v, chunk_size: int, init: KVState | No
     return out, KVState(state)
 
 
-def causal_linear_attention_vjp(q, k, v, d_out, init: KVState | None = None,
-                                chunk_size: int | None = None):
+def causal_linear_attention_vjp(q, k, v, d_out, init: KVState | None, chunk_size: int):
     """Gradients of causal linear attention w.r.t. its inputs.
 
     Given d_out = dL/dO, returns (dq, dk, dv, d_init). Each piece is itself a
@@ -88,13 +87,10 @@ def causal_linear_attention_vjp(q, k, v, d_out, init: KVState | None = None,
     _check_qkv(q, k, v, init)
     if d_out.shape != (q.shape[0], v.shape[1]):
         raise ShapeError(f"d_out {d_out.shape} does not match output shape")
-    kernel = causal_linear_attention if chunk_size is None else (
-        lambda a, b, c, i=None: chunked_causal_linear_attention(a, b, c, chunk_size, i)
-    )
     init_t = KVState(init.accumulator.T) if init is not None else None
-    dq, _ = kernel(d_out, v, k, init_t)
-    dv_rev, _ = kernel(k[::-1], q[::-1], d_out[::-1])
-    dk_rev, _ = kernel(v[::-1], d_out[::-1], q[::-1])
+    dq, _ = chunked_causal_linear_attention(d_out, v, k, chunk_size, init_t)
+    dv_rev, _ = chunked_causal_linear_attention(k[::-1], q[::-1], d_out[::-1], chunk_size)
+    dk_rev, _ = chunked_causal_linear_attention(v[::-1], d_out[::-1], q[::-1], chunk_size)
     d_init = q.T @ d_out
     return dq, dk_rev[::-1], dv_rev[::-1], d_init
 

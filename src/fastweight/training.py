@@ -164,14 +164,39 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     targets = tape.targets
 
     dhead = _zero_head_grads(head)
-    dalpha = {n: 0.0 for n in steps.mask}
+    dalpha = {}
     ddelta = {}
+    # gradients on the per-position gradient rows (by PositionGrads field)
+    # and on the slow activations a matrix attends over (by PositionTape
+    # field); the first-order ablation freezes both, so it adds nothing to them
+    drows = {f: np.zeros_like(getattr(grads, f)) for f in dict.fromkeys(hd.ROWS.values())}
+    dkeys = {}
 
-    def la_vjp(q, k, vv, d_out, name):
-        init = None
-        if state is not None and name in state.acc:
-            init = KVState(state.acc[name])
-        return causal_linear_attention_vjp(q, k, vv, d_out, init, chunk_size)
+    def vec_vjp(name, d_x):
+        """Reverse of x - alpha * Cum (exclusive cumsum of the rows, from the
+        stream accumulator on), given d_x = dL/dx."""
+        if name not in mask:
+            return
+        dalpha[name] = -float((d_x * cache.cum[name]).sum())
+        dcum = -alpha[name] * d_x
+        if not first_order:
+            drows[hd.ROWS[name]] += reverse_exclusive_cumsum_rows(dcum)
+        ddelta[name] = dcum.sum(axis=0)
+
+    def mat_vjp(name, q, d_x, d_q):
+        """Reverse of x - alpha * Att (causal linear attention of queries q
+        over the slow keys and rows), given d_x = dL/dx; adds into d_q."""
+        if name not in mask:
+            return
+        dalpha[name] = -float((d_x * cache.att[name]).sum())
+        init = KVState(state.acc[name]) if state is not None else None
+        dq, dk, dv, ddelta[name] = causal_linear_attention_vjp(
+            q, getattr(tape, hd.KEYS[name]), grads.rows(name), -alpha[name] * d_x,
+            init, chunk_size)
+        d_q += dq
+        if not first_order:
+            dkeys[hd.KEYS[name]] = dk
+            drows[hd.ROWS[name]] += dv
 
     # ---- seed: d(w * sum CE) / d fast logits
     dLG_f = cache.probs.copy()
@@ -182,89 +207,34 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     dhead["c"] += dLG_f.sum(axis=0)
     dhead["E"] += cache.u.T @ dLG_f
     du_f = dLG_f @ head.E.T
-    dGl = np.zeros_like(grads.g_logits)
-    dUo = np.zeros_like(tape.u)
-    if "E" in mask:
-        dalpha["E"] = -float((dLG_f * cache.att["E"]).sum())
-        dq, dk, dv, dinit = la_vjp(cache.u, tape.u, grads.g_logits,
-                                   -alpha["E"] * dLG_f, "E")
-        du_f += dq
-        dUo += dk
-        dGl += dv
-        ddelta["E"] = dinit
-    if "c" in mask:
-        dalpha["c"] = -float((dLG_f * cache.cum["c"]).sum())
-        dcum = -alpha["c"] * dLG_f
-        dGl += reverse_exclusive_cumsum_rows(dcum)
-        ddelta["c"] = dcum.sum(axis=0)
+    mat_vjp("E", cache.u, dLG_f, du_f)
+    vec_vjp("c", dLG_f)
 
     # ---- LayerNorm with per-position gains: u' = gain' * xhat' + bias'
     dP_f, dgain, dbias = layernorm_bwd((cache.xhat, cache.istd, cache.gain_rows), du_f)
     dhead["ln_gain"] += dgain
     dhead["ln_bias"] += dbias
-    dbias_rows = du_f
-    dGg = np.zeros_like(grads.g_ln_gain)
-    dGu = np.zeros_like(grads.g_u)
-    if "ln_gain" in mask:
-        dgain_rows = du_f * cache.xhat
-        dalpha["ln_gain"] = -float((dgain_rows * cache.cum["ln_gain"]).sum())
-        dcum = -alpha["ln_gain"] * dgain_rows
-        dGg += reverse_exclusive_cumsum_rows(dcum)
-        ddelta["ln_gain"] = dcum.sum(axis=0)
-    if "ln_bias" in mask:
-        dalpha["ln_bias"] = -float((dbias_rows * cache.cum["ln_bias"]).sum())
-        dcum = -alpha["ln_bias"] * dbias_rows
-        dGu += reverse_exclusive_cumsum_rows(dcum)
-        ddelta["ln_bias"] = dcum.sum(axis=0)
+    vec_vjp("ln_gain", du_f * cache.xhat)
+    vec_vjp("ln_bias", du_f)
 
     # ---- bias stage: p' = o' + b - a_b * Cum_b
     dhead["b"] += dP_f.sum(axis=0)
-    dO_f = dP_f
-    dGo = np.zeros_like(grads.g_o)
-    if "b" in mask:
-        dalpha["b"] = -float((dP_f * cache.cum["b"]).sum())
-        dcum = -alpha["b"] * dP_f
-        dGo += reverse_exclusive_cumsum_rows(dcum)
-        ddelta["b"] = dcum.sum(axis=0)
+    vec_vjp("b", dP_f)
 
     # ---- projection: o' = v' W - a_W * Att_W
-    dhead["W"] += cache.v.T @ dO_f
-    dV_f = dO_f @ head.W.T
-    dVs = np.zeros_like(tape.v)
-    if "W" in mask:
-        dalpha["W"] = -float((dO_f * cache.att["W"]).sum())
-        dq, dk, dv, dinit = la_vjp(cache.v, tape.v, grads.g_o,
-                                   -alpha["W"] * dO_f, "W")
-        dV_f += dq
-        dVs += dk
-        dGo += dv
-        ddelta["W"] = dinit
+    dhead["W"] += cache.v.T @ dP_f
+    dV_f = dP_f @ head.W.T
+    mat_vjp("W", cache.v, dP_f, dV_f)
 
     # ---- activation + first layer: z' = H U + a - a_U * Att_U - a_a * Cum_a
     dZ_f = dV_f * cache.relu_mask
     dhead["U"] += H.T @ dZ_f
     dhead["a"] += dZ_f.sum(axis=0)
     dH = dZ_f @ head.U.T
-    dGz = np.zeros_like(grads.g_z)
-    if "U" in mask:
-        dalpha["U"] = -float((dZ_f * cache.att["U"]).sum())
-        dq, dk, dv, dinit = la_vjp(H, tape.h, grads.g_z, -alpha["U"] * dZ_f, "U")
-        dH += dq
-        if not first_order:
-            dH += dk  # keys are the same context vectors
-        dGz += dv
-        ddelta["U"] = dinit
-    if "a" in mask:
-        dalpha["a"] = -float((dZ_f * cache.cum["a"]).sum())
-        dcum = -alpha["a"] * dZ_f
-        dGz += reverse_exclusive_cumsum_rows(dcum)
-        ddelta["a"] = dcum.sum(axis=0)
-
-    if first_order:
-        # gradients-as-constants ablation: the per-position gradient rows and
-        # the slow activations acting as attention keys are frozen
-        for arr in (dGl, dGu, dGo, dGz, dGg, dUo, dVs):
-            arr[:] = 0.0
+    mat_vjp("U", H, dZ_f, dH)
+    vec_vjp("a", dZ_f)
+    if "h" in dkeys:
+        dH += dkeys["h"]  # U's keys are the same context vectors
 
     # ---- reverse through the slow backward (second-order terms) ----
     dXH = np.zeros_like(tape.xhat)
@@ -272,6 +242,8 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     dZ_slow = np.zeros_like(tape.z)
     dLG_s = np.zeros_like(tape.logits)
     if not first_order:
+        dGl, dGu, dGo, dGz, dGg = (drows[f] for f in
+                                   ("g_logits", "g_u", "g_o", "g_z", "g_ln_gain"))
         # g_z = (g_o W^T) * relu_mask
         g_v = grads.g_o @ head.W.T
         dGv = dGz * tape.relu_mask
@@ -309,7 +281,8 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
         p = tape.probs
         dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
 
-    dH += _slow_forward_vjp(head, tape, dhead, dLG_s, dUo, dXH, dISTD, dVs, dZ_slow)
+    dH += _slow_forward_vjp(head, tape, dhead, dLG_s, dkeys.get("u", 0.0), dXH, dISTD,
+                            dkeys.get("v", 0.0), dZ_slow)
     return dhead, dalpha, ddelta, dH
 
 
@@ -365,7 +338,9 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
     """Loss and exact gradients of one sequence (one segment when carry is set).
 
     `w` scales the objective contribution: the caller passes 1/total_tokens to
-    average over a batch. The returned grads dict is keyed like named_params.
+    average over a batch. The returned grads dict is keyed like named_params
+    and holds only what the mode trains: no alpha./gamma. keys in slow-only,
+    no bb. keys in fwl-finetune.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -379,9 +354,6 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
     if mode == "slow-only":
         dhead, dH = head_slow_vjp(model.head, tape, w)
         losses = slow_losses
-        for n in model.mask:
-            grads_out[f"alpha.{n}"] = np.float64(0.0)
-            grads_out[f"gamma.{n}"] = np.float64(0.0)
         new_carry = None
         if carry is not None:
             new_carry = StreamCarry(new_mem, carry.delta_prev, carry.pending)
@@ -420,9 +392,6 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
     if mode != "fwl-finetune":
         for key, g in bb.encode_backward(model.backbone, bcache, dH).items():
             grads_out[f"bb.{key}"] = g
-    else:
-        for key, v in model.backbone.named():
-            grads_out[f"bb.{key}"] = np.zeros_like(v)
     return SequenceResult(losses, grads_out, new_carry)
 
 
@@ -474,14 +443,17 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
 def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 opt_state: dict, config: TrainConfig, lr_scale: float = 1.0):
     """Standard Adam with bias correction; global-norm clipping is applied to
-    the incoming gradients. Returns (new_params, new_state). Pure."""
+    the incoming gradients. Only the keys in grads are updated: new_params
+    holds those, and every other parameter keeps its value and its moments.
+    Returns (new_params, new_state). Pure."""
     norm = global_grad_norm(grads)
     scale = 1.0
     if norm > config.clip_norm:
         scale = config.clip_norm / norm
     t = opt_state["t"] + 1
-    new_m, new_v, new_p = {}, {}, {}
-    for k, p in params.items():
+    new_m, new_v, new_p = dict(opt_state["m"]), dict(opt_state["v"]), {}
+    for k in grads:
+        p = params[k]
         g = np.asarray(grads[k]) * scale
         if config.weight_decay and k.startswith(("bb.", "head.")) and p.ndim >= 2:
             g = g + config.weight_decay * p
@@ -736,8 +708,6 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
                 i = step % batches_per_epoch
                 order = _epoch_order(len(windows), config.seed, epoch)
                 idx = order[i * config.batch_size:(i + 1) * config.batch_size]
-                if len(idx) == 0:
-                    idx = order[:config.batch_size]
                 batch = [windows[j] for j in idx]
             t0 = time.perf_counter()
             metrics, opt_state, new_carries = train_step(model, batch, config,

@@ -204,3 +204,21 @@ def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
     assert rc == 3
     assert "perplexity" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"train": {"learning_rat": 0.1}}',   # misspelt TrainConfig field
+    '{"train": {"learning_rate": 0.1',     # not JSON
+    '{"model": {"d_hiden": 8}}',           # misspelt ModelConfig field
+    '[{"train": {}}]',                     # top level is not an object
+], ids=["unknown-train-key", "malformed-json", "unknown-model-key", "not-an-object"])
+def test_bad_train_config_is_config_error(workdir, tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--config", str(config), "--total-steps", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "run")

@@ -103,6 +103,20 @@ def test_fast_forward_empty_mask_is_slow_path():
     np.testing.assert_array_equal(fast.logits, tape.logits)
 
 
+@pytest.mark.parametrize("mask, reused", [
+    (hd.MASK_BIAS_ONLY, ("v", "xhat", "u")), (("E",), ("v", "xhat", "u")),
+    (("ln_gain",), ("v",)), (("b",), ("v",)), (("W",), ("v",)), (("a",), ()),
+])
+def test_fast_forward_reuses_the_slow_layers_below_the_mask(mask, reused):
+    # a layer is recomputed only when a tensor at or below it is fast, so
+    # bias-only scoring costs one output layer on top of the slow pass
+    head, steps, H, targets = make_instance(9, T=5, mask=mask)
+    tape, _ = hd.slow_forward(head, H, targets)
+    fast = hd.fast_forward(head, steps, H, tape, hd.per_position_grads(head, tape))
+    for name in ("v", "xhat", "u"):
+        assert (getattr(fast.cache, name) is getattr(tape, name)) == (name in reused), name
+
+
 def test_fast_forward_first_position_unchanged():
     head, steps, H, targets = make_instance(7, T=4)
     tape, losses = hd.slow_forward(head, H, targets)

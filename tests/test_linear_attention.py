@@ -102,7 +102,7 @@ def test_vjp_matches_dense_reference():
     dv_ref = scores.T @ d_out
     dinit_ref = q.T @ d_out
 
-    for chunk in (None, 4):
+    for chunk in (T, 4):
         dq, dk_, dv_, dinit = la.causal_linear_attention_vjp(q, k, v, d_out, init, chunk)
         np.testing.assert_allclose(dq, dq_ref, atol=1e-10)
         np.testing.assert_allclose(dk_, dk_ref, atol=1e-10)

@@ -70,3 +70,27 @@ def test_outputs_perfbench_reads():
     out = hd.generate_step(model.head, steps, hd.StreamState.zeros(model.head, steps.mask),
                            rng.normal(size=8), 1.0, rng)
     assert np.isfinite(out.fast_loss)
+
+
+def test_scoring_hands_the_kernel_a_carried_state():
+    # perfbench's kernel gate wraps la.chunked_causal_linear_attention while a
+    # multi-segment document is scored, reads each call's state as the 5th
+    # positional argument or init=, and fails unless some call gets one
+    corpus = corpus_from_text(make_entity_corpus(2, seed=0), "word")
+    doc = corpus.documents[0]
+    model = tr.init_model(_tiny_config(corpus.vocab_size))
+    assert len(doc) > 2 * model.config.backbone.max_seq_len + 1  # >= 3 segments
+    ckpt = CheckpointData(model, None, corpus.tokenizer, None, 0)
+
+    captured = []
+    spans = _spans()
+    tracer = spans.Tracer(spans.entries("linear_attention.chunked"),
+                          lambda a, k, out: captured.append((a, k)))
+    tracer.install({"linear_attention": la})
+    try:
+        hn.score(ckpt, Corpus([doc], corpus.tokenizer), "fwl")
+    finally:
+        tracer.uninstall()
+    inits = [a[4] if len(a) > 4 else k.get("init") for a, k in captured]
+    assert captured and all(i is None or isinstance(i, la.KVState) for i in inits)
+    assert any(i is not None and np.any(i.accumulator) for i in inits)

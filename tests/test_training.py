@@ -47,7 +47,8 @@ def test_slow_only_reduces_to_plain_lm():
     H = bb.encode(model.backbone, tokens)
     _, losses = hd.slow_forward(model.head, H, targets)
     assert loss == pytest.approx(float(losses.mean()))
-    assert float(np.abs(grads["alpha.W"])) == 0.0
+    # slow-only trains no step size or decay, so it returns no gradient for one
+    assert not [k for k in grads if k.startswith(("alpha.", "gamma."))]
 
 
 def test_slow_only_gradients_match_finite_difference():
@@ -170,16 +171,44 @@ def test_train_step_determinism():
     assert runs[0] == runs[1]
 
 
-def test_fwl_finetune_freezes_backbone():
+def _full_mode_opt_state(model, seed):
+    """Adam state after one full-mode step on a copy: nonzero moments for
+    every parameter, as when a fwl-finetune or slow-only run resumes from a
+    full-mode checkpoint."""
+    warm = model.copy()
+    _, opt, _ = tr.train_step(warm, tiny_batch(warm, T=8, seed=seed),
+                              tr.TrainConfig(mode="full", learning_rate=1e-2))
+    return opt
+
+
+@pytest.mark.parametrize("case", ["fresh", "weight_decay", "resumed_full_state"])
+def test_fwl_finetune_freezes_backbone(case):
     model = tiny_model(seed=16)
+    opt = _full_mode_opt_state(model, 18) if case == "resumed_full_state" else None
     before = {k: np.array(v) for k, v in model.backbone.named()}
     batch = tiny_batch(model, T=8, seed=17)
-    cfg = tr.TrainConfig(mode="fwl-finetune", learning_rate=1e-2)
-    tr.train_step(model, batch, cfg)
+    cfg = tr.TrainConfig(mode="fwl-finetune", learning_rate=1e-2,
+                         weight_decay=0.1 if case == "weight_decay" else 0.0)
+    _, new_opt, _ = tr.train_step(model, batch, cfg, opt)
     for k, v in model.backbone.named():
         np.testing.assert_array_equal(before[k], v)
+        if opt is not None:  # frozen moments are carried, not decayed
+            np.testing.assert_array_equal(new_opt["m"][f"bb.{k}"], opt["m"][f"bb.{k}"])
+            np.testing.assert_array_equal(new_opt["v"][f"bb.{k}"], opt["v"][f"bb.{k}"])
     # head did move
     assert not np.array_equal(model.head.c, np.zeros_like(model.head.c))
+
+
+@pytest.mark.parametrize("case", ["fresh", "resumed_full_state"])
+def test_slow_only_freezes_step_sizes_and_decays(case):
+    model = tiny_model(seed=22)
+    opt = _full_mode_opt_state(model, 23) if case == "resumed_full_state" else None
+    keys = [k for k, _ in model.named_params() if k.startswith(("alpha.", "gamma."))]
+    before = {k: np.array(model.get(k)) for k in keys}
+    cfg = tr.TrainConfig(mode="slow-only", learning_rate=1e-2)
+    tr.train_step(model, tiny_batch(model, T=8, seed=24), cfg, opt)
+    for k in keys:
+        np.testing.assert_array_equal(before[k], model.get(k))
 
 
 def test_full_batch_loss_monotone_under_exact_gradient_descent():
@@ -314,3 +343,34 @@ def test_fit_dev_nll_scores_each_window_as_its_own_stream(mode):
     threaded = hn.score(CheckpointData(model, None, tok, None, 0), Corpus([dev_doc], tok),
                         "baseline" if mode == "slow-only" else "fwl", seq_len=seq_len)
     assert abs(float(threaded.nll_docs[0].mean()) - ref_nll) > 1e-6
+
+
+def test_failed_checkpoint_overwrite_keeps_the_old_file(tmp_path, monkeypatch):
+    import fastweight.checkpoint as ck
+    model = tiny_model(seed=30)
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, model, None, None, 1, None)
+    old_bytes = path.read_bytes()
+    saved = {k: np.array(v) for k, v in model.named_params()}
+
+    written = []
+
+    def failing_write(f, name, arr):
+        if len(written) == 5:
+            raise OSError("disk full")
+        written.append(name)
+        real_write(f, name, arr)
+
+    real_write = ck._write_tensor
+    monkeypatch.setattr(ck, "_write_tensor", failing_write)
+    model.head.c = model.head.c + 1.0
+    with pytest.raises(OSError, match="cannot write checkpoint"):
+        save_checkpoint(path, model, None, None, 2, None)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == old_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+    snap = load_checkpoint(path)
+    assert snap.step == 1
+    for k, v in snap.model.named_params():
+        assert v.tobytes() == saved[k].tobytes()
