@@ -2,18 +2,21 @@
 
 Generation cannot use the parallel kernels (each token depends on the last),
 so the model samples a token, takes the gradient of predicting it under the
-slow weights, and folds that into its running offsets. Scoring the generated
-tokens afterwards with the parallel fast pass reproduces the generator's
-losses, which is the scoring/generation consistency contract.
+slow weights, and folds that into its running offsets. It walks the text in
+the same segments as `score`, carrying backbone memory and decayed fast state
+across them, and encodes one backbone position per sampled token against a
+key/value cache. Scoring the generated text afterwards with the parallel fast
+pass reproduces the generator's own losses: the scoring/generation
+consistency contract.
 """
 
 import numpy as np
 
 from fastweight import backbone as bb
-from fastweight import harness, head
+from fastweight import harness
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData
-from fastweight.corpus import corpus_from_text, make_entity_corpus
+from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
 
 corpus = corpus_from_text(make_entity_corpus(120, seed=4, sentences_per_doc=10), "word")
 mcfg = tr.ModelConfig(
@@ -36,23 +39,14 @@ for variant in ("baseline", "fwl"):
     print(f"[{variant}] repeated 4-gram fraction {rep:.2f}")
     print(" ", text, "\n")
 
-# consistency: teacher-force one fast generation through the parallel pass
-model = ckpt.model
-rng = np.random.default_rng(9)
-H = bb.encode(model.backbone, corpus.documents[0][:20])
-offsets = head.StreamState.zeros(model.head, model.mask)
-steps = model.step_sizes()
-tokens, gen_losses = [], []
-for t in range(H.shape[0]):
-    out = head.generate_step(model.head, steps, offsets, H[t], 0.8, rng)
-    offsets = out.offsets
-    tokens.append(out.token)
-    gen_losses.append(out.fast_loss)
-tape, _ = head.slow_forward(model.head, H, np.array(tokens))
-fast = head.fast_forward(model.head, steps, H, tape,
-                         head.per_position_grads(model.head, tape))
-print(f"generator losses vs teacher-forced fast pass, max abs err: "
-      f"{np.abs(fast.losses - np.array(gen_losses)).max():.2e}")
+# consistency: score the generated text, across a segment boundary
+prompt_ids = corpus.documents[0][:8]
+gen = harness.generate_ids(ckpt.model, prompt_ids, 150, temperature=0.8, seed=9)
+scored = harness.score(ckpt, Corpus([np.array(gen.ids)], corpus.tokenizer), "fwl")
+err = np.abs(scored.nll_docs[0][len(prompt_ids) - 1:] - gen.fast_losses).max()
+print(f"generator losses vs harness.score over {len(gen.fast_losses)} sampled tokens "
+      f"({len(gen.ids)} tokens, segments of {mcfg.backbone.max_seq_len}): "
+      f"max abs err {err:.2e}")
 
 # cost picture: fast weights cost a bounded head-level overhead, dynamic
 # evaluation pays a backward pass through everything

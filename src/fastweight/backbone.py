@@ -301,6 +301,50 @@ def encode_with_cache(params: BackboneParams, tokens,
     return H, cache, out_mem
 
 
+def attention_kv(cache) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, the head-major (keys, values) over [memory; segment] that
+    encode_with_cache's cache holds: what encode_next attends to."""
+    return [a_cache[3:5] for a_cache, _ in cache[1]]
+
+
+def encode_next(params: BackboneParams, token: int, pos: int, kv,
+                memory: SegmentMemory | None = None):
+    """The context vector of one more position `pos` of a segment.
+
+    kv holds, per layer, the head-major (keys, values) over [memory;
+    positions 0..pos-1]: attention_kv of encode_with_cache's cache, or the kv
+    an earlier call returned. Positions are absolute within a segment, so
+    those rows never change and h equals row pos of encode_with_cache on the
+    whole segment. memory is the memory the positions so far leave, as
+    encode_with_cache returns it (None without segment memory). Returns
+    (h (d_model,), kv, memory), both with this position appended.
+    """
+    cfg = params.cfg
+    if not 0 <= token < cfg.vocab_size:
+        raise InputError(f"token id {token} out of vocabulary (size {cfg.vocab_size})")
+    if not 0 <= pos < cfg.max_seq_len:
+        raise InputError(f"position {pos} outside max_seq_len {cfg.max_seq_len}")
+    x = (params.tok_emb[token] + params.pos_emb[pos])[None, :]
+    new_kv, new_mem = [], []
+    for li, lp in enumerate(params.layers):
+        if cfg.memory_len:
+            new_mem.append(np.vstack([memory.activations[li], x])[-cfg.memory_len:])
+        y, _ = layernorm_fwd(x, lp.ln1_g, lp.ln1_b)
+        q = y @ lp.wq + lp.bq
+        q /= np.sqrt(cfg.d_model // cfg.n_heads)
+        kh, vh = (np.concatenate([old, _split_heads(y @ wt + bias, cfg.n_heads)], axis=1)
+                  for old, wt, bias in zip(kv[li], (lp.wk, lp.wv), (lp.bk, lp.bv)))
+        new_kv.append((kh, vh))
+        w = _split_heads(q, cfg.n_heads) @ kh.transpose(0, 2, 1)  # every cached row is visible
+        w -= w.max(axis=2, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=2, keepdims=True)
+        x = x + (_merge_heads(w @ vh) @ lp.wo + lp.bo)
+        x = x + _ff(lp, x)[0]
+    h, _ = layernorm_fwd(x, params.lnf_g, params.lnf_b)
+    return h[0], new_kv, SegmentMemory(new_mem) if cfg.memory_len else None
+
+
 def encode(params: BackboneParams, tokens) -> np.ndarray:
     """Context vectors; h_t depends only on tokens at positions <= t."""
     H, _, _ = encode_with_cache(params, tokens)

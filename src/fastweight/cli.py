@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -16,8 +17,8 @@ from . import backbone as bb
 from . import harness, head, oracle
 from . import linear_attention as la
 from . import training as tr
-from .checkpoint import load_checkpoint
-from .corpus import ingest
+from .checkpoint import CheckpointData, load_checkpoint
+from .corpus import Corpus, TokenizerSpec, ingest
 from .numerics import ConfigError, InputError, NumericalError, ShapeError, StateError
 
 
@@ -104,7 +105,7 @@ def _build_parser():
     b.add_argument("--dyneval-step", type=float, default=0.01)
     b.add_argument("--seed", type=int, default=0)
 
-    v = sub.add_parser("verify", help="oracle and kernel equivalence suites")
+    v = sub.add_parser("verify", help="oracle, kernel and generation consistency suites")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--instances", type=int, default=20)
     return p
@@ -115,6 +116,12 @@ def _load_corpus_like(ckpt, path):
     return ingest(path, tok if tok is not None else "char")
 
 
+# The JSON values that may stand for a config field of each annotated type
+# (bool is an int subclass, so a bool is accepted only for a bool field).
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str,
+               float | None: (int, float, type(None)), tuple[str, ...]: list}
+
+
 def _read_config(path) -> dict:
     """The --config file: {"train": {TrainConfig fields}, "model":
     {ModelConfig or BackboneConfig fields}}, each section optional."""
@@ -123,17 +130,22 @@ def _read_config(path) -> dict:
             overrides = json.load(fh)
         except ValueError as e:
             raise ConfigError(f"{path} is not valid JSON: {e}") from e
-    known = {"train": {f.name for f in dataclasses.fields(tr.TrainConfig)},
-             "model": {f.name for c in (tr.ModelConfig, bb.BackboneConfig)
-                       for f in dataclasses.fields(c)} - {"backbone"}}
+    known = {"train": {f.name: f.type for f in dataclasses.fields(tr.TrainConfig)},
+             "model": {f.name: f.type for c in (tr.ModelConfig, bb.BackboneConfig)
+                       for f in dataclasses.fields(c) if f.name != "backbone"}}
     if (not isinstance(overrides, dict) or set(overrides) - set(known)
             or not all(isinstance(v, dict) for v in overrides.values())):
         raise ConfigError(f"{path} must hold a JSON object with only \"train\" "
                           "and \"model\" objects")
     for section, value in overrides.items():
-        if set(value) - known[section]:
+        if set(value) - set(known[section]):
             raise ConfigError(f"{path}: unknown {section} settings "
-                              f"{sorted(set(value) - known[section])}")
+                              f"{sorted(set(value) - set(known[section]))}")
+        for name, v in value.items():
+            want = known[section][name]
+            if not isinstance(v, _JSON_TYPES[want]) or (isinstance(v, bool) and want is not bool):
+                raise ConfigError(f"{path}: {section} setting {name!r} has the wrong "
+                                  f"type: {json.dumps(v)}")
     return overrides
 
 
@@ -311,6 +323,26 @@ def cmd_verify(args) -> int:
               float(np.abs(end.accumulator - ws.accumulator).max()))
     check(f"kv-state additivity (max abs err {err:.2e})", err < 1e-10)
 
+    # a tiny random model with segment memory, sampled across three segments
+    vocab = 7
+    tok = TokenizerSpec("word", [f"w{i}" for i in range(vocab)])
+    model = tr.init_model(tr.ModelConfig(
+        bb.BackboneConfig(vocab_size=vocab, d_model=8, n_layers=2, n_heads=2, d_ff=16,
+                          max_seq_len=8, memory_len=3, seed=args.seed),
+        d_hidden=8, chunk_size=4))
+    for n in head.TENSOR_NAMES:
+        model.alpha[n] = np.float64(rng.uniform(0.1, 0.5))
+        model.gamma_raw[n] = np.float64(rng.normal())
+    ckpt = CheckpointData(model, None, tok, None, 0)
+    prompt = rng.integers(0, vocab, size=5)
+    worst = 0.0
+    for variant in ("fwl", "baseline"):
+        gen = harness.generate_ids(model, prompt, 20, seed=args.seed, variant=variant)
+        scored = harness.score(ckpt, Corpus([np.array(gen.ids)], tok), variant)
+        worst = max(worst, float(np.abs(scored.nll_docs[0][len(prompt) - 1:]
+                                        - gen.fast_losses).max()))
+    check(f"generation/scoring consistency (max abs err {worst:.2e})", worst < 1e-9)
+
     if failures:
         print(f"{failures} verification check(s) failed")
     return 3 if failures else 0
@@ -335,7 +367,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        with warnings.catch_warnings():  # a library warning is one stderr line
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                              file=sys.stderr)
+            return _HANDLERS[args.command](args)
     except (ConfigError, InputError, ShapeError, StateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -4,6 +4,7 @@ per-token analysis, cost accounting, and text generation."""
 import csv
 import io
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,45 +423,96 @@ def repeated_ngram_fraction(ids, n: int = 4) -> float:
     return repeats / total
 
 
-def generate(ckpt: CheckpointData, prompt: str, n_tokens: int,
-             temperature: float = 1.0, seed: int = 0,
-             variant: str = "fwl") -> str:
-    """Sample text. The prompt is teacher-forced with per-token fast updates,
-    then tokens are sampled one at a time with the sequential update rule."""
-    if ckpt.tokenizer is None:
-        raise ConfigError("checkpoint carries no tokenizer; cannot generate")
-    model = ckpt.model
-    bcfg = model.config.backbone
-    ids = list(ckpt.tokenizer.encode(prompt))
-    if not ids:
-        raise ConfigError("prompt produced no tokens")
-    unk = ckpt.tokenizer.index.get(UNK)
-    n_unk = sum(1 for i in ids if i == unk)
-    if n_unk:
-        import sys
-        print(f"warning: {n_unk} prompt token(s) outside the vocabulary were "
-              f"mapped to {UNK}", file=sys.stderr)
+@dataclass
+class Generation:
+    ids: list[int]            # the prompt's ids, then the sampled ones
+    fast_losses: np.ndarray   # per sampled token: its NLL under the sampler's weights
+
+
+def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
+                 seed: int = 0, variant: str = "fwl") -> Generation:
+    """Sample n_tokens after the prompt ids from the model that `score`
+    evaluates: each fast loss equals score's NLL of that token in the text.
+
+    The text is walked in score's segments of max_seq_len positions. The
+    prompt's whole segments are one stream; they leave backbone memory and
+    the decayed fast state. The current segment's prefix is encoded once, and
+    each sampled token then encodes one position against its per-layer keys
+    and values (bb.encode_next). The sampler's offsets are the carried state
+    plus the slow gradients of the segment's positions so far. A full segment
+    becomes memory, and the state decays, exactly as in score_streams.
+    """
+    if n_tokens < 0:
+        raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
+    if temperature < 0:
+        raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if variant == "baseline":
         steps = hd.StepSizes.uniform(0.0, ())
     elif variant == "fwl":
         steps = model.step_sizes()
     else:
         raise ConfigError(f"generate supports baseline or fwl, got {variant!r}")
+    ids = [int(i) for i in ids]
+    if not ids:
+        raise ConfigError("prompt produced no tokens")
+    if n_tokens == 0:
+        return Generation(ids, np.zeros(0))
+    L = model.config.backbone.max_seq_len
+    gammas = model.gammas()
     rng = np.random.default_rng(seed)
-    offsets = hd.StreamState.zeros(model.head, steps.mask)
 
-    window = ids[-bcfg.max_seq_len:]
-    H = bb.encode(model.backbone, np.array(window))
-    if steps.mask:
-        # the prompt's summed slow gradients, as score carries them between segments
-        tape, _ = hd.slow_forward(model.head, H[:-1], window[1:])
-        grads = hd.per_position_grads(model.head, tape)
-        offsets = hd.update_stream_state(offsets, grads, tape, {})
-    h = H[-1]
-    for _ in range(n_tokens):
+    def absorb(state, H, targets, decays):
+        """state decayed by decays, plus the slow gradients of H's positions."""
+        if not steps.mask:
+            return state
+        tape, _ = hd.slow_forward(model.head, H, targets)
+        return hd.update_stream_state(state, hd.per_position_grads(model.head, tape),
+                                      tape, decays)
+
+    start = (len(ids) - 1) // L * L  # the current segment's first position
+    memory, state = None, hd.StreamState.zeros(model.head, steps.mask)
+    for tokens, targets in doc_segments(np.array(ids[:start + 1]), L):
+        H, _, memory = bb.encode_with_cache(model.backbone, tokens, memory)
+        state = absorb(state, H, targets, gammas)
+    H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], memory)
+    kv, h = bb.attention_kv(cache), H[-1]
+    offsets = absorb(state, H[:-1], ids[start + 1:], {})
+    losses = []
+    for i in range(n_tokens):
         out = hd.generate_step(model.head, steps, offsets, h, temperature, rng)
         offsets = out.offsets
         ids.append(out.token)
-        window = ids[-bcfg.max_seq_len:]
-        h = bb.encode(model.backbone, np.array(window))[-1]
-    return ckpt.tokenizer.decode(ids)
+        losses.append(out.fast_loss)
+        if i + 1 == n_tokens:
+            break  # nothing reads the next position
+        pos = len(ids) - 1 - start
+        if pos < L:
+            h, kv, memory = bb.encode_next(model.backbone, out.token, pos, kv, memory)
+            continue
+        # the segment is full: it is memory now, and the state decays
+        start += L
+        state = offsets = hd.StreamState({
+            n: gammas[n] * state.acc[n] + (offsets.acc[n] - state.acc[n]) for n in steps.mask})
+        H, cache, memory = bb.encode_with_cache(model.backbone, [out.token], memory)
+        kv, h = bb.attention_kv(cache), H[-1]
+    return Generation(ids, np.array(losses))
+
+
+def generate(ckpt: CheckpointData, prompt: str, n_tokens: int,
+             temperature: float = 1.0, seed: int = 0,
+             variant: str = "fwl") -> str:
+    """Sample text: the prompt, then n_tokens drawn one at a time from the
+    model that `score` evaluates (see generate_ids): the prompt's whole
+    segments and the current segment's prefix are encoded once, then each
+    sampled token encodes one backbone position against a key/value cache.
+    A prompt word or character outside the vocabulary becomes UNK, with a
+    UserWarning."""
+    if ckpt.tokenizer is None:
+        raise ConfigError("checkpoint carries no tokenizer; cannot generate")
+    ids = ckpt.tokenizer.encode(prompt)
+    gen = generate_ids(ckpt.model, ids, n_tokens, temperature, seed, variant)
+    n_unk = int(np.sum(ids == ckpt.tokenizer.index.get(UNK, -1)))
+    if n_unk:
+        warnings.warn(f"{n_unk} prompt token(s) outside the vocabulary were mapped "
+                      f"to {UNK}", stacklevel=2)
+    return ckpt.tokenizer.decode(gen.ids)

@@ -119,6 +119,30 @@ def test_encode_matches_per_head_loop_reference(memory_len):
     assert np.max(np.abs(H - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("memory_len", [0, 5])
+def test_encode_next_matches_encode_with_cache_rows(memory_len):
+    # a segment encoded as a 3-token prefix and then one position at a time
+    # gives encode_with_cache's rows of the whole segment, and its memory
+    params = bb.init_backbone(tiny_config(memory_len=memory_len, max_seq_len=12))
+    rng = np.random.default_rng(3)
+    _, _, memory = bb.encode_with_cache(params, rng.integers(0, 11, size=12))
+    seg = rng.integers(0, 11, size=12)
+    H, _, want_memory = bb.encode_with_cache(params, seg, memory)
+    rows, cache, memory = bb.encode_with_cache(params, seg[:3], memory)
+    kv, rows = bb.attention_kv(cache), list(rows)
+    for pos in range(3, 12):
+        h, kv, memory = bb.encode_next(params, int(seg[pos]), pos, kv, memory)
+        rows.append(h)
+    assert np.max(np.abs(np.array(rows) - H)) <= 1e-12
+    if memory_len:
+        for got, want in zip(memory.activations, want_memory.activations):
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+    else:
+        assert memory is None
+    with pytest.raises(InputError):
+        bb.encode_next(params, 0, 12, kv, memory)  # past max_seq_len
+
+
 def test_encode_causality_bit_exact():
     params = bb.init_backbone(tiny_config())
     rng = np.random.default_rng(0)

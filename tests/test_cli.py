@@ -65,9 +65,20 @@ def test_generate_deterministic(workdir, capsys):
     args = ["generate", "--ckpt", ckpt, "--prompt", "belardan saw",
             "--n-tokens", "8", "--temperature", "0.8", "--seed", "3"]
     assert main(args) == 0
-    first = capsys.readouterr().out
+    first, err = capsys.readouterr()
+    assert err == "warning: 1 prompt token(s) outside the vocabulary were mapped to <unk>\n"
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("flag, value", [("--n-tokens", "-1"), ("--temperature", "-1")])
+def test_bad_generate_argument_is_config_error(workdir, capsys, flag, value):
+    rc = main(["generate", "--ckpt", str(workdir / "run" / "final.ckpt"),
+               "--prompt", "belardan saw", flag, value])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_dyneval_runs(workdir, capsys):
@@ -100,8 +111,9 @@ def test_bench_reports(workdir, capsys):
 
 def test_verify_exit_zero(capsys):
     rc = main(["verify", "--instances", "4", "--seed", "1"])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert rc == 0
+    assert "PASS  generation/scoring consistency" in out
 
 
 def test_missing_corpus_is_io_error(workdir, capsys):
@@ -211,7 +223,11 @@ def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
     '{"train": {"learning_rate": 0.1',     # not JSON
     '{"model": {"d_hiden": 8}}',           # misspelt ModelConfig field
     '[{"train": {}}]',                     # top level is not an object
-], ids=["unknown-train-key", "malformed-json", "unknown-model-key", "not-an-object"])
+    '{"train": {"learning_rate": "x"}}',   # a string for a float
+    '{"model": {"d_model": "8"}}',         # a string for an int
+    '{"model": {"mask": 5}}',              # a number for a list of tensor names
+], ids=["unknown-train-key", "malformed-json", "unknown-model-key", "not-an-object",
+        "str-learning-rate", "str-d-model", "int-mask"])
 def test_bad_train_config_is_config_error(workdir, tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)

@@ -7,7 +7,7 @@ from fastweight import head as hd
 from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData
-from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
+from fastweight.corpus import Corpus, TokenizerSpec, corpus_from_text, make_entity_corpus
 from fastweight.numerics import ConfigError
 
 
@@ -254,6 +254,68 @@ def test_generate_prompt_offsets_match_oracle(small_ckpt, monkeypatch):
         want = sum(oracle._full_grads(slow, H[t], int(window[t + 1]))[name]
                    for t in range(len(window) - 1))
         np.testing.assert_allclose(seen[0].acc[name], want, rtol=0, atol=1e-10)
+
+
+def _generation_ckpt(memory_len):
+    """A tiny random model with 8-position segments, large step sizes and
+    distinct decays, so that a lost or undecayed fast state shows in its NLLs."""
+    vocab = 9
+    model = tr.init_model(tr.ModelConfig(
+        backbone=bb.BackboneConfig(vocab_size=vocab, d_model=8, n_layers=2, n_heads=2,
+                                   d_ff=16, max_seq_len=8, memory_len=memory_len, seed=4),
+        d_hidden=8, chunk_size=4))
+    rng = np.random.default_rng(memory_len)
+    for n in hd.TENSOR_NAMES:
+        model.alpha[n] = np.float64(rng.uniform(0.1, 0.5))
+        model.gamma_raw[n] = np.float64(rng.normal())
+    tok = TokenizerSpec("word", [f"w{i}" for i in range(vocab)])
+    return CheckpointData(model, None, tok, None, 0)
+
+
+@pytest.mark.parametrize("prompt_len", [5, 8, 19])  # shorter than, equal to, longer than a segment
+@pytest.mark.parametrize("variant", ["fwl", "baseline"])
+@pytest.mark.parametrize("memory_len", [0, 3])
+def test_generate_fast_nll_equals_score(memory_len, variant, prompt_len):
+    # every sampled token's fast loss is score's NLL of it in the generated
+    # text; the 12 samples cross one or two segment boundaries
+    ckpt = _generation_ckpt(memory_len)
+    prompt = np.random.default_rng(prompt_len).integers(0, 9, size=prompt_len)
+    gen = hn.generate_ids(ckpt.model, prompt, 12, seed=prompt_len, variant=variant)
+    assert gen.ids[:prompt_len] == list(prompt) and len(gen.ids) == prompt_len + 12
+    scored = hn.score(ckpt, Corpus([np.array(gen.ids)], ckpt.tokenizer), variant)
+    assert np.max(np.abs(scored.nll_docs[0][prompt_len - 1:] - gen.fast_losses)) <= 1e-9
+    text = hn.generate(ckpt, ckpt.tokenizer.decode(prompt), 12, seed=prompt_len,
+                       variant=variant)
+    assert text == ckpt.tokenizer.decode(gen.ids)
+
+
+@pytest.mark.parametrize("prompt_len, n", [(1, 1), (5, 12), (8, 9), (19, 6), (5, 0)])
+def test_generate_encodes_one_position_per_sample(monkeypatch, prompt_len, n):
+    # the prompt once, then one position per sampled token but the last
+    ckpt = _generation_ckpt(0)
+    positions = []
+    with_cache, next_one = bb.encode_with_cache, bb.encode_next
+
+    def counted_with_cache(params, tokens, memory=None):
+        positions.append(len(tokens))
+        return with_cache(params, tokens, memory)
+
+    def counted_next(*args):
+        positions.append(1)
+        return next_one(*args)
+
+    monkeypatch.setattr(bb, "encode_with_cache", counted_with_cache)
+    monkeypatch.setattr(bb, "encode_next", counted_next)
+    hn.generate_ids(ckpt.model, np.zeros(prompt_len, dtype=int), n)
+    assert sum(positions) == (prompt_len + n - 1 if n else 0)
+
+
+def test_generate_warns_on_out_of_vocabulary_prompt(small_ckpt):
+    ckpt, corpus = small_ckpt
+    prompt = "qqzx " + corpus.tokenizer.decode(corpus.documents[0][:4])
+    with pytest.warns(UserWarning, match="1 prompt token"):
+        text = hn.generate(ckpt, prompt, 2, seed=1)
+    assert text.startswith("<unk> ")
 
 
 def test_repeated_ngram_fraction():
