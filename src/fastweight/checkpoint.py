@@ -81,7 +81,7 @@ def model_config_from_dict(d: dict) -> ModelConfig:
 
 def save_checkpoint(path, model: Model, train_config: TrainConfig | None,
                     opt_state: dict | None, step: int,
-                    tokenizer: TokenizerSpec | None, extra: dict | None = None):
+                    tokenizer: TokenizerSpec | None):
     meta = {
         "model_config": model_config_to_dict(model.config),
         "train_config": dataclasses.asdict(train_config) if train_config else None,
@@ -89,8 +89,6 @@ def save_checkpoint(path, model: Model, train_config: TrainConfig | None,
                       if tokenizer else None),
         "step": int(step),
     }
-    if extra:
-        meta["extra"] = extra
     tensors: list[tuple[str, np.ndarray]] = list(model.named_params())
     # step sizes/decays for unmasked tensors ride along so masks can be changed
     for n in TENSOR_NAMES:
@@ -132,7 +130,6 @@ class CheckpointData:
     tokenizer: TokenizerSpec | None
     opt_state: dict | None
     step: int
-    extra: dict | None = None
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -155,6 +152,16 @@ def load_checkpoint(path) -> CheckpointData:
         except ValueError as e:  # bad UTF-8 or JSON
             raise ConfigError(f"{path} is truncated or corrupt") from e
 
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: metadata is not a JSON object")
+    try:
+        return _from_metadata(path, meta, tensors)
+    except (KeyError, TypeError, ValueError) as e:
+        # a missing key, a wrong type or an unknown config field
+        raise ConfigError(f"{path} has malformed metadata: {e!r}") from e
+
+
+def _from_metadata(path, meta: dict, tensors: dict) -> CheckpointData:
     mc = model_config_from_dict(meta["model_config"])
     model = init_model(mc)
     for key, want in list(model.named_params()):
@@ -172,7 +179,10 @@ def load_checkpoint(path) -> CheckpointData:
 
     train_config = None
     if meta.get("train_config"):
-        train_config = TrainConfig(**meta["train_config"])
+        kept = dict(meta["train_config"])
+        for key in ("first_order", "alpha_lr"):  # deleted options older files hold
+            kept.pop(key, None)
+        train_config = TrainConfig(**kept)
     tokenizer = None
     if meta.get("tokenizer"):
         tokenizer = TokenizerSpec(meta["tokenizer"]["mode"], meta["tokenizer"]["vocab"])
@@ -184,4 +194,4 @@ def load_checkpoint(path) -> CheckpointData:
             "t": int(meta["opt_t"]),
         }
     return CheckpointData(model, train_config, tokenizer, opt_state,
-                          int(meta.get("step", 0)), meta.get("extra"))
+                          int(meta.get("step", 0)))

@@ -31,8 +31,6 @@ def _add_train_flags(p: argparse.ArgumentParser):
             p.add_argument(flag, choices=tr.MODES, default=None)
         elif isinstance(default, bool):
             p.add_argument(flag, action="store_true", default=None)
-        elif default is None:
-            p.add_argument(flag, type=float, default=None)
         else:
             p.add_argument(flag, type=type(default), default=None)
 
@@ -118,8 +116,7 @@ def _load_corpus_like(ckpt, path):
 
 # The JSON values that may stand for a config field of each annotated type
 # (bool is an int subclass, so a bool is accepted only for a bool field).
-_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str,
-               float | None: (int, float, type(None)), tuple[str, ...]: list}
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, tuple[str, ...]: list}
 
 
 def _read_config(path) -> dict:

@@ -36,17 +36,14 @@ class TokenizerSpec:
         return len(self.vocab)
 
     def encode(self, text: str) -> np.ndarray:
-        if self.mode == "char":
-            unk = self.index.get(UNK)
-            ids = []
-            for ch in text:
-                i = self.index.get(ch, unk)
-                if i is None:
-                    raise InputError(f"character {ch!r} not in vocabulary")
-                ids.append(i)
-            return np.array(ids, dtype=np.int64)
+        """Characters or whitespace-split words to ids; a token outside the
+        vocabulary becomes <unk>, or an InputError if there is none."""
+        toks = text if self.mode == "char" else text.split()
         unk = self.index.get(UNK)
-        return np.array([self.index.get(wrd, unk) for wrd in text.split()], dtype=np.int64)
+        ids = [self.index.get(tok, unk) for tok in toks]
+        if unk is None and None in ids:
+            raise InputError(f"{self.mode} {toks[ids.index(None)]!r} not in vocabulary")
+        return np.array(ids, dtype=np.int64)
 
     def decode(self, ids) -> str:
         toks = [self.vocab[i] for i in ids]

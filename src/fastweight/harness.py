@@ -15,7 +15,8 @@ from . import linear_attention as la
 from .checkpoint import CheckpointData
 from .corpus import UNK, Corpus, token_frequencies
 from .numerics import ConfigError
-from .training import Model, doc_segments, head_slow_vjp, score_streams
+from .training import (Model, StreamCarry, doc_segments, head_slow_vjp,
+                       score_streams)
 
 VARIANTS = ("baseline", "fwl", "test-time-only", "bias-only")
 
@@ -97,14 +98,17 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
     Per document: score a chunk with the current weights, take one SGD step on
     the gradient of that chunk's mean loss, continue. Chunks follow the same
     segment convention as score (segment memory threads across them when the
-    model has it), so a zero step size reproduces score(baseline, chunk_len)
-    exactly. Weights reset per document; every document owns its private copy.
+    model has it), so a zero step size is score(baseline, chunk_len), and is
+    computed as that. Weights reset per document; every document owns its
+    private copy.
     """
     if chunk_len < 1:
         raise ConfigError(f"chunk_len must be >= 1, got {chunk_len}")
     _check_tokenizer(ckpt, corpus)
     base = ckpt.model
     seq_len = min(chunk_len, base.config.backbone.max_seq_len)
+    if step_size == 0.0:
+        return score(ckpt, corpus, "baseline", seq_len=seq_len)
     nll_docs = []
     t0 = time.perf_counter()
     for doc in corpus.documents:
@@ -115,13 +119,12 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
             H, bcache, memory = bb.encode_with_cache(model.backbone, tokens, memory)
             tape, losses = hd.slow_forward(model.head, H, targets)
             nlls.append(losses)
-            if step_size != 0.0:
-                dhead, dH = head_slow_vjp(model.head, tape, 1.0 / len(targets))
-                bgrads = bb.encode_backward(model.backbone, bcache, dH)
-                for name, g in dhead.items():
-                    setattr(model.head, name, model.head.tensor(name) - step_size * g)
-                for key, g in bgrads.items():
-                    model.backbone.set(key, model.backbone.get(key) - step_size * g)
+            dhead, dH = head_slow_vjp(model.head, tape, 1.0 / len(targets))
+            bgrads = bb.encode_backward(model.backbone, bcache, dH)
+            for name, g in dhead.items():
+                setattr(model.head, name, model.head.tensor(name) - step_size * g)
+            for key, g in bgrads.items():
+                model.backbone.set(key, model.backbone.get(key) - step_size * g)
         nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
     return _score_result(nll_docs, time.perf_counter() - t0)
 
@@ -434,13 +437,14 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     """Sample n_tokens after the prompt ids from the model that `score`
     evaluates: each fast loss equals score's NLL of that token in the text.
 
-    The text is walked in score's segments of max_seq_len positions. The
-    prompt's whole segments are one stream; they leave backbone memory and
-    the decayed fast state. The current segment's prefix is encoded once, and
-    each sampled token then encodes one position against its per-layer keys
-    and values (bb.encode_next). The sampler's offsets are the carried state
-    plus the slow gradients of the segment's positions so far. A full segment
-    becomes memory, and the state decays, exactly as in score_streams.
+    The text is walked in score's segments of max_seq_len positions, with a
+    StreamCarry threaded across them as in score_streams. The prompt's whole
+    segments are one stream. The current segment's prefix is encoded once,
+    and each sampled token then encodes one position against its per-layer
+    keys and values (bb.encode_next). The sampler's offsets are the state the
+    segment reads plus the slow gradients of its positions so far. A full
+    segment becomes memory, and its pending sums are the offsets minus that
+    state.
     """
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
@@ -461,22 +465,24 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     gammas = model.gammas()
     rng = np.random.default_rng(seed)
 
-    def absorb(state, H, targets, decays):
-        """state decayed by decays, plus the slow gradients of H's positions."""
+    def slow_sums(H, targets):
+        """The summed slow gradients of H's positions."""
         if not steps.mask:
-            return state
+            return {}
         tape, _ = hd.slow_forward(model.head, H, targets)
-        return hd.update_stream_state(state, hd.per_position_grads(model.head, tape),
-                                      tape, decays)
+        return hd.segment_grad_sums(tape, hd.per_position_grads(model.head, tape),
+                                    steps.mask)
 
     start = (len(ids) - 1) // L * L  # the current segment's first position
-    memory, state = None, hd.StreamState.zeros(model.head, steps.mask)
+    carry = StreamCarry.fresh(model, steps.mask)
     for tokens, targets in doc_segments(np.array(ids[:start + 1]), L):
-        H, _, memory = bb.encode_with_cache(model.backbone, tokens, memory)
-        state = absorb(state, H, targets, gammas)
-    H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], memory)
+        H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory)
+        carry = StreamCarry(memory, carry.state(gammas), slow_sums(H, targets))
+    state = carry.state(gammas)
+    H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)
     kv, h = bb.attention_kv(cache), H[-1]
-    offsets = absorb(state, H[:-1], ids[start + 1:], {})
+    prefix = slow_sums(H[:-1], ids[start + 1:])
+    offsets = {n: state[n] + prefix[n] for n in steps.mask}
     losses = []
     for i in range(n_tokens):
         out = hd.generate_step(model.head, steps, offsets, h, temperature, rng)
@@ -489,11 +495,11 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
         if pos < L:
             h, kv, memory = bb.encode_next(model.backbone, out.token, pos, kv, memory)
             continue
-        # the segment is full: it is memory now, and the state decays
+        # the segment is full: it is memory now, and its gradients are pending
         start += L
-        state = offsets = hd.StreamState({
-            n: gammas[n] * state.acc[n] + (offsets.acc[n] - state.acc[n]) for n in steps.mask})
-        H, cache, memory = bb.encode_with_cache(model.backbone, [out.token], memory)
+        carry = StreamCarry(memory, state, {n: offsets[n] - state[n] for n in steps.mask})
+        state = offsets = carry.state(gammas)
+        H, cache, memory = bb.encode_with_cache(model.backbone, [out.token], carry.memory)
         kv, h = bb.attention_kv(cache), H[-1]
     return Generation(ids, np.array(losses))
 

@@ -156,28 +156,12 @@ class PositionGrads:
         return getattr(self, ROWS[name])
 
 
-@dataclass
-class StreamState:
-    """Accumulated fast-weight deltas carried across segments.
-
-    Matrix entries hold the key-value accumulator sum(key_i^T value_i), which
-    has the tensor's own shape; vector entries hold summed gradient rows.
-    Treated as constant under differentiation.
-    """
-
-    acc: dict[str, np.ndarray]
-
-    @staticmethod
-    def zeros(head: HeadParams, mask: tuple[str, ...]) -> "StreamState":
-        return StreamState({n: np.zeros(head.tensor(n).shape) for n in mask})
-
-
-def _check_state(state: StreamState, head: HeadParams, mask) -> None:
+def _check_state(state: dict[str, np.ndarray], head: HeadParams, mask) -> None:
     for name in mask:
-        if name not in state.acc:
+        if name not in state:
             raise StateError(f"stream state missing accumulator for {name!r}")
         want = head.tensor(name).shape
-        got = state.acc[name].shape
+        got = state[name].shape
         if got != want:
             raise StateError(f"stream accumulator {name!r} has shape {got}, expected {want}")
 
@@ -201,19 +185,15 @@ def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape
     return tape, losses
 
 
-def per_position_grads(head: HeadParams, tape: PositionTape,
-                       targets=None) -> PositionGrads:
+def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:
     """Gradient of each L_t alone w.r.t. the head tensors, as upstream rows.
 
     All T rows come out of one vectorized backward because L_t depends only
     on h_t; there is no cross-position mixing.
     """
-    if targets is None:
-        targets = tape.targets
-    targets = np.asarray(targets, dtype=np.int64)
     T = tape.h.shape[0]
     g_logits = tape.probs.copy()
-    g_logits[np.arange(T), targets] -= 1.0
+    g_logits[np.arange(T), tape.targets] -= 1.0
     g_u = g_logits @ head.E.T
     g_o, _, _ = layernorm_bwd((tape.xhat, tape.istd, head.ln_gain), g_u)
     g_ln_gain = g_u * tape.xhat
@@ -247,13 +227,16 @@ class FastResult:
 
 def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
                  tape: PositionTape, grads: PositionGrads,
-                 state: StreamState | None = None, chunk_size: int = 64) -> FastResult:
+                 state: dict[str, np.ndarray] | None = None,
+                 chunk_size: int = 64) -> FastResult:
     """Second pass with evolving fast weights, computed in parallel.
 
     Layers are recomposed in order (U/a, squared ReLU, W/b, LayerNorm, E/c) so
     each matrix term's queries come from fast activations while keys and
     values come from the slow pass. With an empty mask this returns the slow
     losses unchanged; with all step sizes zero it matches them exactly.
+    `state` is the fast state carried in from earlier segments (see
+    update_stream_state), a constant under differentiation.
     """
     H = as_f64(H)
     mask = set(steps.mask)
@@ -269,7 +252,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
         for name in names:
             if name not in mask:
                 continue
-            init = state.acc[name] if state is not None else None
+            init = state[name] if state is not None else None
             rows = grads.rows(name)
             if name in KEYS:
                 term, _ = la.chunked_causal_linear_attention(
@@ -323,17 +306,15 @@ def segment_grad_sums(tape: PositionTape, grads: PositionGrads,
     return sums
 
 
-def update_stream_state(state: StreamState, grads: PositionGrads,
-                        tape: PositionTape, gammas: dict[str, float]) -> StreamState:
-    """Decay each accumulator by its gamma, then add the segment's summed
-    gradients. The result is a plain value: constant under differentiation."""
-    mask = tuple(state.acc.keys())
-    sums = segment_grad_sums(tape, grads, mask)
-    new = {}
-    for name in mask:
-        g = float(gammas.get(name, 1.0))
-        new[name] = g * state.acc[name] + sums[name]
-    return StreamState(new)
+def update_stream_state(prev: dict[str, np.ndarray], pending: dict[str, np.ndarray],
+                        gammas: dict[str, float]) -> dict[str, np.ndarray]:
+    """The fast state a segment reads: the state the previous segment read,
+    decayed by each tensor's gamma, plus that segment's summed gradients
+    (`pending`, from segment_grad_sums). Per tensor, a matrix's state is the
+    key-value accumulator sum(key_i^T value_i), of the tensor's own shape; a
+    vector's is its summed gradient rows. The one place a decay meets the
+    state."""
+    return {name: gammas[name] * prev[name] + pending[name] for name in prev}
 
 
 def head_grads_single(head: HeadParams, h: np.ndarray, target: int) -> dict[str, np.ndarray]:
@@ -353,11 +334,11 @@ def sample_token(logits: np.ndarray, temperature: float, rng) -> int:
 @dataclass
 class GenStep:
     token: int
-    offsets: StreamState
+    offsets: dict[str, np.ndarray]
     fast_loss: float
 
 
-def generate_step(head: HeadParams, steps: StepSizes, offsets: StreamState,
+def generate_step(head: HeadParams, steps: StepSizes, offsets: dict[str, np.ndarray],
                   h: np.ndarray, temperature: float, rng) -> GenStep:
     """One sequential generation step.
 
@@ -366,16 +347,14 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: StreamState,
     token -- computed against the slow weights -- into the offsets.
     """
     _check_state(offsets, head, steps.mask)
-    fast = HeadParams(**{n: t - steps.alpha[n] * offsets.acc[n] if n in steps.mask else t
+    fast = HeadParams(**{n: t - steps.alpha[n] * offsets[n] if n in steps.mask else t
                          for n, t in head.named()})
     # the target is not sampled yet; the tape's probabilities do not depend on it
     tape, _ = slow_forward(fast, as_f64(h)[None, :], [0])
     logits = tape.logits[0]
     token = sample_token(logits, temperature, rng)
     fast_loss = float(-np.log(tape.probs[0, token]))
-    new_acc = dict(offsets.acc)
-    if steps.mask:
-        grads = head_grads_single(head, h, token)
-        for name in steps.mask:
-            new_acc[name] = offsets.acc[name] + grads[name]
-    return GenStep(token, StreamState(new_acc), fast_loss)
+    if not steps.mask:
+        return GenStep(token, offsets, fast_loss)
+    grads = head_grads_single(head, h, token)
+    return GenStep(token, {n: offsets[n] + grads[n] for n in steps.mask}, fast_loss)

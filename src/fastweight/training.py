@@ -12,15 +12,17 @@ by hand in three sweeps, mirroring how the loss was built:
   3. slow-forward and backbone reverse for everything that accumulated on the
      slow activations.
 
-Stream accumulators carried across segments are constants (stop-gradient);
-their decay factors are applied inside the step, which is the one place the
-decays touch the loss.
+Stream accumulators carried across segments are constants (stop-gradient).
+A StreamCarry holds them lazily, as the state the previous segment read plus
+that segment's summed gradients, so that the decay is applied inside the
+step: the one place the decays touch the loss.
 
 The module also holds the one document segmenter (`doc_segments`) and the
 one scoring loop (`score_streams`), shared by `fit`'s dev NLL and
 `harness.score`.
 """
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -55,6 +57,8 @@ class ModelConfig:
             raise ConfigError(f"d_hidden must be positive, got {self.d_hidden}")
         if self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if not 0.0 < self.gamma_init < 1.0:
+            raise ConfigError(f"gamma_init must lie in (0, 1), got {self.gamma_init}")
         bad = [n for n in self.mask if n not in hd.TENSOR_NAMES]
         if bad:
             raise ConfigError(f"unknown tensors in mask: {bad}")
@@ -134,18 +138,28 @@ def init_model(config: ModelConfig) -> Model:
 
 @dataclass
 class StreamCarry:
-    """Constants threaded between consecutive segments of one text stream."""
+    """Constants threaded between consecutive segments of one text stream:
+    the backbone memory, the fast state the previous segment read, and that
+    segment's summed gradients (segment_grad_sums), not yet decayed in. The
+    decay stays lazy because gamma is trained and d gamma reads delta_prev."""
 
     memory: bb.SegmentMemory | None
     delta_prev: dict[str, np.ndarray]
     pending: dict[str, np.ndarray]
 
     @staticmethod
-    def fresh(model: Model) -> "StreamCarry":
+    def fresh(model: Model, mask: tuple[str, ...] | None = None) -> "StreamCarry":
+        """The carry at the start of a stream, for the fast tensors in mask
+        (the model's own mask by default)."""
         mem = (bb.SegmentMemory.empty(model.config.backbone)
                if model.config.backbone.memory_len else None)
-        zeros = {n: np.zeros(model.head.tensor(n).shape) for n in model.mask}
+        mask = model.mask if mask is None else mask
+        zeros = {n: np.zeros(model.head.tensor(n).shape) for n in mask}
         return StreamCarry(mem, zeros, {k: v.copy() for k, v in zeros.items()})
+
+    def state(self, gammas: dict[str, float]) -> dict[str, np.ndarray]:
+        """The fast state the next segment reads."""
+        return hd.update_stream_state(self.delta_prev, self.pending, gammas)
 
 
 def _zero_head_grads(head: hd.HeadParams) -> dict[str, np.ndarray]:
@@ -153,8 +167,8 @@ def _zero_head_grads(head: hd.HeadParams) -> dict[str, np.ndarray]:
 
 
 def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
-                  fast: hd.FastResult, state: hd.StreamState | None,
-                  chunk_size: int, w: float, first_order: bool = False):
+                  fast: hd.FastResult, state: dict[str, np.ndarray] | None,
+                  chunk_size: int, w: float):
     """Gradient of w * sum_t L'_t w.r.t. head tensors, step sizes, H and the
     stream accumulators. Returns (dhead, dalpha, ddelta, dH)."""
     cache = fast.cache
@@ -167,8 +181,7 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     dalpha = {}
     ddelta = {}
     # gradients on the per-position gradient rows (by PositionGrads field)
-    # and on the slow activations a matrix attends over (by PositionTape
-    # field); the first-order ablation freezes both, so it adds nothing to them
+    # and on the slow activations a matrix attends over (by PositionTape field)
     drows = {f: np.zeros_like(getattr(grads, f)) for f in dict.fromkeys(hd.ROWS.values())}
     dkeys = {}
 
@@ -179,8 +192,7 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
             return
         dalpha[name] = -float((d_x * cache.cum[name]).sum())
         dcum = -alpha[name] * d_x
-        if not first_order:
-            drows[hd.ROWS[name]] += reverse_exclusive_cumsum_rows(dcum)
+        drows[hd.ROWS[name]] += reverse_exclusive_cumsum_rows(dcum)
         ddelta[name] = dcum.sum(axis=0)
 
     def mat_vjp(name, q, d_x, d_q):
@@ -189,14 +201,13 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
         if name not in mask:
             return
         dalpha[name] = -float((d_x * cache.att[name]).sum())
-        init = KVState(state.acc[name]) if state is not None else None
+        init = KVState(state[name]) if state is not None else None
         dq, dk, dv, ddelta[name] = causal_linear_attention_vjp(
             q, getattr(tape, hd.KEYS[name]), grads.rows(name), -alpha[name] * d_x,
             init, chunk_size)
         d_q += dq
-        if not first_order:
-            dkeys[hd.KEYS[name]] = dk
-            drows[hd.ROWS[name]] += dv
+        dkeys[hd.KEYS[name]] = dk
+        drows[hd.ROWS[name]] += dv
 
     # ---- seed: d(w * sum CE) / d fast logits
     dLG_f = cache.probs.copy()
@@ -237,49 +248,44 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
         dH += dkeys["h"]  # U's keys are the same context vectors
 
     # ---- reverse through the slow backward (second-order terms) ----
-    dXH = np.zeros_like(tape.xhat)
-    dISTD = np.zeros((T, 1))
-    dZ_slow = np.zeros_like(tape.z)
-    dLG_s = np.zeros_like(tape.logits)
-    if not first_order:
-        dGl, dGu, dGo, dGz, dGg = (drows[f] for f in
-                                   ("g_logits", "g_u", "g_o", "g_z", "g_ln_gain"))
-        # g_z = (g_o W^T) * relu_mask
-        g_v = grads.g_o @ head.W.T
-        dGv = dGz * tape.relu_mask
-        dRM = dGz * g_v
-        dZ_slow += dRM * 2.0 * (tape.z > 0)
-        dGo += dGv @ head.W
-        dhead["W"] += dGv.T @ grads.g_o
+    dGl, dGu, dGo, dGz, dGg = (drows[f] for f in
+                               ("g_logits", "g_u", "g_o", "g_z", "g_ln_gain"))
+    # g_z = (g_o W^T) * relu_mask
+    g_v = grads.g_o @ head.W.T
+    dGv = dGz * tape.relu_mask
+    dRM = dGz * g_v
+    dZ_slow = dRM * 2.0 * (tape.z > 0)
+    dGo += dGv @ head.W
+    dhead["W"] += dGv.T @ grads.g_o
 
-        # g_ln_gain = g_u * xhat
-        dGu += dGg * tape.xhat
-        dXH += dGg * grads.g_u
+    # g_ln_gain = g_u * xhat
+    dGu += dGg * tape.xhat
+    dXH = dGg * grads.g_u
 
-        # g_o = istd * (dxh - mean(dxh) - xhat * mean(dxh*xhat)), dxh = g_u * gain
-        dxh_s = grads.g_u * head.ln_gain
-        m1s = dxh_s.mean(axis=1, keepdims=True)
-        m2s = (dxh_s * tape.xhat).mean(axis=1, keepdims=True)
-        inner = dxh_s - m1s - tape.xhat * m2s
-        dISTD += (dGo * inner).sum(axis=1, keepdims=True)
-        dinner = dGo * tape.istd
-        ddxh = dinner.copy()
-        dm1 = -dinner.sum(axis=1, keepdims=True)
-        dm2 = -(dinner * tape.xhat).sum(axis=1, keepdims=True)
-        dXH += -dinner * m2s
-        ddxh += (dm2 / d) * tape.xhat
-        dXH += (dm2 / d) * dxh_s
-        ddxh += dm1 / d
-        dGu += ddxh * head.ln_gain
-        dhead["ln_gain"] += (ddxh * grads.g_u).sum(axis=0)
+    # g_o = istd * (dxh - mean(dxh) - xhat * mean(dxh*xhat)), dxh = g_u * gain
+    dxh_s = grads.g_u * head.ln_gain
+    m1s = dxh_s.mean(axis=1, keepdims=True)
+    m2s = (dxh_s * tape.xhat).mean(axis=1, keepdims=True)
+    inner = dxh_s - m1s - tape.xhat * m2s
+    dISTD = (dGo * inner).sum(axis=1, keepdims=True)
+    dinner = dGo * tape.istd
+    ddxh = dinner.copy()
+    dm1 = -dinner.sum(axis=1, keepdims=True)
+    dm2 = -(dinner * tape.xhat).sum(axis=1, keepdims=True)
+    dXH += -dinner * m2s
+    ddxh += (dm2 / d) * tape.xhat
+    dXH += (dm2 / d) * dxh_s
+    ddxh += dm1 / d
+    dGu += ddxh * head.ln_gain
+    dhead["ln_gain"] += (ddxh * grads.g_u).sum(axis=0)
 
-        # g_u = g_logits E^T
-        dGl += dGu @ head.E
-        dhead["E"] += dGu.T @ grads.g_logits
+    # g_u = g_logits E^T
+    dGl += dGu @ head.E
+    dhead["E"] += dGu.T @ grads.g_logits
 
-        # g_logits = softmax(logits) - onehot
-        p = tape.probs
-        dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
+    # g_logits = softmax(logits) - onehot
+    p = tape.probs
+    dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
 
     dH += _slow_forward_vjp(head, tape, dhead, dLG_s, dkeys.get("u", 0.0), dXH, dISTD,
                             dkeys.get("v", 0.0), dZ_slow)
@@ -333,8 +339,8 @@ class SequenceResult:
 
 
 def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
-                            carry: StreamCarry | None = None, w: float = 1.0,
-                            first_order: bool = False) -> SequenceResult:
+                            carry: StreamCarry | None = None,
+                            w: float = 1.0) -> SequenceResult:
     """Loss and exact gradients of one sequence (one segment when carry is set).
 
     `w` scales the objective contribution: the caller passes 1/total_tokens to
@@ -360,18 +366,14 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
     else:
         steps = model.step_sizes()
         pos_grads = hd.per_position_grads(model.head, tape)
-        state = None
         gammas = model.gammas()
-        if carry is not None:
-            state = hd.StreamState({
-                n: gammas[n] * carry.delta_prev[n] + carry.pending[n]
-                for n in model.mask})
+        state = carry.state(gammas) if carry is not None else None
         fast = hd.fast_forward(model.head, steps, H, tape, pos_grads,
                                state=state, chunk_size=model.config.chunk_size)
         losses = fast.losses
         dhead, dalpha, ddelta, dH = head_fast_vjp(
             model.head, steps, H, tape, pos_grads, fast, state,
-            model.config.chunk_size, w, first_order)
+            model.config.chunk_size, w)
         for n in model.mask:
             grads_out[f"alpha.{n}"] = np.float64(dalpha.get(n, 0.0))
             if carry is not None and n in ddelta:
@@ -382,10 +384,8 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
                 grads_out[f"gamma.{n}"] = np.float64(0.0)
         new_carry = None
         if carry is not None:
-            sums = hd.segment_grad_sums(tape, pos_grads, model.mask)
-            new_carry = StreamCarry(new_mem,
-                                    {n: state.acc[n].copy() for n in model.mask},
-                                    sums)
+            new_carry = StreamCarry(new_mem, state,
+                                    hd.segment_grad_sums(tape, pos_grads, model.mask))
 
     for name, g in dhead.items():
         grads_out[f"head.{name}"] = g
@@ -409,8 +409,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     mode: str = "full"
     streaming: bool = False
-    first_order: bool = False
-    alpha_lr: float | None = None   # override learning rate for step sizes/decays
     eval_every: int = 100
     seed: int = 0
 
@@ -461,10 +459,7 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v = config.beta2 * opt_state["v"][k] + (1 - config.beta2) * g * g
         mhat = m / (1 - config.beta1 ** t)
         vhat = v / (1 - config.beta2 ** t)
-        lr = config.learning_rate * lr_scale
-        if config.alpha_lr is not None and k.startswith(("alpha.", "gamma.")):
-            lr = config.alpha_lr * lr_scale
-        new_p[k] = p - lr * mhat / (np.sqrt(vhat) + config.eps)
+        new_p[k] = p - config.learning_rate * lr_scale * mhat / (np.sqrt(vhat) + config.eps)
         new_m[k] = m
         new_v[k] = v
     return new_p, {"m": new_m, "v": new_v, "t": t}
@@ -495,8 +490,7 @@ def batch_loss_and_grads(model: Model, batch, config: TrainConfig,
     for i, (tokens, targets) in enumerate(batch):
         carry = carries[i] if carries is not None else None
         res = sequence_loss_and_grads(model, tokens, targets, config.mode,
-                                      carry=carry, w=w,
-                                      first_order=config.first_order)
+                                      carry=carry, w=w)
         loss_sum += float(res.losses.sum())
         new_carries.append(res.carry)
         for k, g in res.grads.items():
@@ -586,28 +580,28 @@ def make_windows(documents: list[np.ndarray], seq_len: int):
 def score_streams(model: Model, streams, steps: hd.StepSizes | None) -> list[np.ndarray]:
     """Per-token NLL of each stream, a list of (tokens, targets) segments.
 
-    Fast state and backbone memory carry across the segments of a stream and
-    reset between streams. With steps None these are the slow losses, else
-    the fast-pass losses under those step sizes.
+    A StreamCarry threads backbone memory and fast state across the segments
+    of a stream, as in streaming training, and restarts with each stream.
+    With steps None these are the slow losses, else the fast-pass losses
+    under those step sizes.
     """
     gammas = model.gammas()
     nll_streams = []
     for stream in streams:
         nlls = []
-        memory = None
-        state = hd.StreamState.zeros(model.head, steps.mask) if steps is not None else None
+        carry = StreamCarry.fresh(model, steps.mask if steps is not None else ())
         for i, (tokens, targets) in enumerate(stream):
-            H, _, memory = bb.encode_with_cache(model.backbone, tokens, memory)
-            tape, slow_losses = hd.slow_forward(model.head, H, targets)
-            if steps is None:
-                nlls.append(slow_losses)
-                continue
-            grads = hd.per_position_grads(model.head, tape)
-            fast = hd.fast_forward(model.head, steps, H, tape, grads, state=state,
-                                   chunk_size=model.config.chunk_size)
-            nlls.append(fast.losses)
-            if i + 1 < len(stream):  # the state after a stream's last segment has no reader
-                state = hd.update_stream_state(state, grads, tape, gammas)
+            H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory)
+            tape, losses = hd.slow_forward(model.head, H, targets)
+            state, pending = carry.state(gammas), {}
+            if steps is not None:
+                grads = hd.per_position_grads(model.head, tape)
+                losses = hd.fast_forward(model.head, steps, H, tape, grads, state=state,
+                                         chunk_size=model.config.chunk_size).losses
+                if i + 1 < len(stream):  # the last segment's sums have no reader
+                    pending = hd.segment_grad_sums(tape, grads, steps.mask)
+            nlls.append(losses)
+            carry = StreamCarry(memory, state, pending)
         nll_streams.append(np.concatenate(nlls) if nlls else np.zeros(0))
     return nll_streams
 
@@ -634,7 +628,8 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
     and JSONL metrics when out_dir is given.
 
     Resume restores parameters, optimizer state and the data order; stream
-    carries restart at the resume point in streaming mode.
+    carries restart at the resume point in streaming mode. model_config must
+    match the checkpoint's.
     """
     import json
     import os
@@ -654,6 +649,11 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
     opt_state = None
     if resume_from is not None:
         snap = load_checkpoint(resume_from)
+        old, new = (dict(dataclasses.asdict(c), **dataclasses.asdict(c.backbone))
+                    for c in (snap.model.config, model_config))
+        diff = sorted(k for k in old if k != "backbone" and old[k] != new[k])
+        if diff:
+            raise ConfigError(f"model settings {diff} differ from those of {resume_from}")
         model = snap.model
         opt_state = snap.opt_state
         start_step = snap.step

@@ -209,7 +209,7 @@ def test_criterion_6_scoring_generation_consistency():
     steps = hd.StepSizes({n: float(a) for n, a in zip(
         hd.TENSOR_NAMES, 0.04 * rng.uniform(-1, 1, 8))})
     H = rng.normal(size=(24, 10))
-    offsets = hd.StreamState.zeros(head, steps.mask)
+    offsets = {n: np.zeros(head.tensor(n).shape) for n in steps.mask}
     tokens, gen_losses = [], []
     for t in range(H.shape[0]):
         out = hd.generate_step(head, steps, offsets, H[t], 0.7, rng)

@@ -148,6 +148,23 @@ def test_truncated_ckpt_is_config_error(workdir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("d_model", ["16", "8"])
+def test_resume_needs_the_checkpoint_model_settings(workdir, tmp_path, capsys, d_model):
+    # workdir's run was trained with these settings and d_model 16
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--resume", str(workdir / "run" / "final.ckpt"),
+               "--d-model", d_model, "--n-layers", "1", "--n-heads", "2", "--d-ff", "32",
+               "--d-hidden", "16", "--max-seq-len", "32", "--chunk-size", "16",
+               "--total-steps", "9", "--batch-size", "2", "--seq-len", "24", "--seed", "7"])
+    err = capsys.readouterr().err
+    if d_model == "16":
+        assert rc == 0 and os.path.exists(tmp_path / "run" / "final.ckpt")
+        return
+    assert rc == 1
+    assert err.startswith("error: model settings ['d_model'] differ")
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_binary_corpus_is_config_error(workdir, tmp_path, capsys):
     ckpt = str(workdir / "run" / "final.ckpt")
     binary = tmp_path / "binary.txt"

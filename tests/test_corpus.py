@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastweight import corpus as cp
-from fastweight.numerics import ConfigError
+from fastweight.numerics import ConfigError, InputError
 
 
 def test_two_documents_shared_vocab():
@@ -32,6 +32,13 @@ def test_word_oov_maps_to_unk():
     c = cp.corpus_from_text("aa bb cc", "word")
     ids = c.tokenizer.encode("aa zz")
     assert ids[1] == c.tokenizer.index[cp.UNK]
+
+
+@pytest.mark.parametrize("mode, text, oov", [("word", "a zz b", "zz"), ("char", "abz", "z")])
+def test_oov_without_unk_is_input_error(mode, text, oov):
+    tok = cp.TokenizerSpec(mode, ["a", "b"])
+    with pytest.raises(InputError, match=f"{mode} '{oov}' not in vocabulary"):
+        tok.encode(text)
 
 
 def test_empty_corpus_raises():

@@ -98,6 +98,32 @@ def test_score_threads_fast_state_across_segments(small_ckpt):
     np.testing.assert_allclose(res.nll_docs[0], ref, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("memory_len", [0, 3])
+def test_score_decays_the_carried_state_between_segments(memory_len):
+    # a segment reads the earlier segments' summed full gradients, the one
+    # from j segments back decayed by gamma^(j-1): a sequential walk on the
+    # oracle's per-position gradients
+    ckpt = _generation_ckpt(memory_len)
+    model = ckpt.model
+    doc = np.random.default_rng(memory_len).integers(0, 9, size=30)
+    res = hn.score(ckpt, Corpus([doc], ckpt.tokenizer), "fwl")
+    slow, gammas, alpha = dict(model.head.named()), model.gammas(), model.alpha
+    acc = {n: np.zeros_like(slow[n]) for n in model.mask}
+    memory, ref = None, []
+    for tokens, targets in tr.doc_segments(doc, model.config.backbone.max_seq_len):
+        H, _, memory = bb.encode_with_cache(model.backbone, tokens, memory)
+        seg = {n: np.zeros_like(slow[n]) for n in model.mask}
+        for h, target in zip(H, targets):
+            fast = {n: t - alpha[n] * (acc[n] + seg[n]) if n in acc else t
+                    for n, t in slow.items()}
+            ref.append(oracle._forward(fast, h, int(target))[0])
+            for n, g in oracle._full_grads(slow, h, int(target)).items():
+                if n in seg:
+                    seg[n] = seg[n] + g
+        acc = {n: gammas[n] * acc[n] + seg[n] for n in acc}
+    np.testing.assert_allclose(res.nll_docs[0], ref, rtol=0, atol=1e-9)
+
+
 def test_score_tokenizer_mismatch_raises(small_ckpt):
     ckpt, _ = small_ckpt
     other = corpus_from_text("completely different words", "word")
@@ -139,6 +165,31 @@ def test_dynamic_evaluate_leaves_checkpoint_untouched(small_ckpt):
     hn.dynamic_evaluate(ckpt, corpus, 0.05, chunk_len=8)
     for k, v in ckpt.model.named_params():
         np.testing.assert_array_equal(before[k], v)
+
+
+@pytest.mark.parametrize("chunk_len", [5, 8])
+def test_dynamic_evaluate_matches_a_reference_walk_with_memory(chunk_len):
+    # one SGD step per chunk on its mean slow loss, with segment memory
+    # threaded from chunk to chunk, and a fresh copy of the weights per document
+    ckpt = _generation_ckpt(5)
+    rng = np.random.default_rng(chunk_len)
+    corpus = Corpus([rng.integers(0, 9, size=n) for n in (30, 17)], ckpt.tokenizer)
+    step = 0.05
+    got = hn.dynamic_evaluate(ckpt, corpus, step, chunk_len=chunk_len).nll_docs
+    static = hn.score(ckpt, corpus, "baseline", seq_len=chunk_len).nll_docs
+    for doc, nll, base in zip(corpus.documents, got, static):
+        model = ckpt.model.copy()
+        carry = tr.StreamCarry.fresh(model, ())
+        want = []
+        for tokens, targets in tr.doc_segments(doc, chunk_len):
+            res = tr.sequence_loss_and_grads(model, tokens, targets, "slow-only", carry,
+                                             w=1.0 / len(targets))
+            want.append(res.losses)
+            carry = res.carry
+            for key, g in res.grads.items():
+                model.set(key, model.get(key) - step * g)
+        np.testing.assert_allclose(nll, np.concatenate(want), rtol=0, atol=1e-12)
+        assert np.abs(nll - base).max() > 1e-6  # the steps change the scores
 
 
 def test_analyze_identical_streams_zero_buckets(small_ckpt):
@@ -253,7 +304,7 @@ def test_generate_prompt_offsets_match_oracle(small_ckpt, monkeypatch):
     for name in model.mask:
         want = sum(oracle._full_grads(slow, H[t], int(window[t + 1]))[name]
                    for t in range(len(window) - 1))
-        np.testing.assert_allclose(seen[0].acc[name], want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(seen[0][name], want, rtol=0, atol=1e-10)
 
 
 def _generation_ckpt(memory_len):

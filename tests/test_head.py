@@ -6,6 +6,10 @@ from fastweight import numerics as nm
 from fastweight import oracle
 
 
+def zero_state(head, mask):
+    return {n: np.zeros(head.tensor(n).shape) for n in mask}
+
+
 def make_instance(seed, T=6, d=4, m=5, vocab=7, mask=hd.MASK_ALL, alpha_scale=0.02):
     rng = np.random.default_rng(seed)
     head = hd.init_head(d, m, vocab, seed=seed)
@@ -163,11 +167,12 @@ def test_stream_state_gamma_zero_is_segment_sum():
     head, steps, H, targets = make_instance(11, T=6)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    state = hd.StreamState.zeros(head, steps.mask)
-    state.acc["c"][:] = 99.0
-    new = hd.update_stream_state(state, grads, tape, {n: 0.0 for n in steps.mask})
-    np.testing.assert_allclose(new.acc["c"], grads.g_logits.sum(axis=0))
-    np.testing.assert_allclose(new.acc["U"], tape.h.T @ grads.g_z)
+    state = zero_state(head, steps.mask)
+    state["c"][:] = 99.0
+    sums = hd.segment_grad_sums(tape, grads, steps.mask)
+    new = hd.update_stream_state(state, sums, {n: 0.0 for n in steps.mask})
+    np.testing.assert_allclose(new["c"], grads.g_logits.sum(axis=0))
+    np.testing.assert_allclose(new["U"], tape.h.T @ grads.g_z)
 
 
 def test_stream_state_gamma_one_zero_grads_identity():
@@ -176,12 +181,13 @@ def test_stream_state_gamma_one_zero_grads_identity():
     grads = hd.per_position_grads(head, tape)
     zero_grads = hd.PositionGrads(*(np.zeros_like(x) for x in
                                     (grads.g_logits, grads.g_u, grads.g_o, grads.g_z, grads.g_ln_gain)))
-    state = hd.StreamState.zeros(head, steps.mask)
-    for k in state.acc:
-        state.acc[k] += 1.5
-    new = hd.update_stream_state(state, zero_grads, tape, {n: 1.0 for n in steps.mask})
-    for k in state.acc:
-        np.testing.assert_allclose(new.acc[k], state.acc[k])
+    state = zero_state(head, steps.mask)
+    for k in state:
+        state[k] += 1.5
+    sums = hd.segment_grad_sums(tape, zero_grads, steps.mask)
+    new = hd.update_stream_state(state, sums, {n: 1.0 for n in steps.mask})
+    for k in state:
+        np.testing.assert_allclose(new[k], state[k])
 
 
 def test_streaming_segments_match_concatenated_pass():
@@ -192,11 +198,12 @@ def test_streaming_segments_match_concatenated_pass():
     full = hd.fast_forward(head, steps, H, tape, grads).losses
 
     cut = 6
-    state = hd.StreamState.zeros(head, steps.mask)
+    state = zero_state(head, steps.mask)
     t1, _ = hd.slow_forward(head, H[:cut], targets[:cut])
     g1 = hd.per_position_grads(head, t1)
     seg1 = hd.fast_forward(head, steps, H[:cut], t1, g1, state=state).losses
-    state = hd.update_stream_state(state, g1, t1, {n: 1.0 for n in steps.mask})
+    state = hd.update_stream_state(state, hd.segment_grad_sums(t1, g1, steps.mask),
+                                   {n: 1.0 for n in steps.mask})
     t2, _ = hd.slow_forward(head, H[cut:], targets[cut:])
     g2 = hd.per_position_grads(head, t2)
     seg2 = hd.fast_forward(head, steps, H[cut:], t2, g2, state=state).losses
@@ -207,8 +214,8 @@ def test_stream_state_shape_mismatch():
     head, steps, H, targets = make_instance(14, T=3)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    state = hd.StreamState.zeros(head, steps.mask)
-    state.acc["U"] = np.zeros((2, 2))
+    state = zero_state(head, steps.mask)
+    state["U"] = np.zeros((2, 2))
     with pytest.raises(nm.StateError):
         hd.fast_forward(head, steps, H, tape, grads, state=state)
 
@@ -216,7 +223,7 @@ def test_stream_state_shape_mismatch():
 def test_generate_step_zero_alpha_matches_slow_sampling():
     head, _, H, _ = make_instance(15, T=1)
     steps = hd.StepSizes.uniform(0.0)
-    offsets = hd.StreamState.zeros(head, steps.mask)
+    offsets = zero_state(head, steps.mask)
     out = hd.generate_step(head, steps, offsets, H[0], 1.0, np.random.default_rng(42))
     tape, _ = hd.slow_forward(head, H, [0])
     expected = hd.sample_token(tape.logits[0], 1.0, np.random.default_rng(42))
@@ -232,7 +239,7 @@ def test_generation_scoring_consistency():
     # teacher-forcing the sampled tokens reproduces the generator's losses
     head, steps, H, _ = make_instance(16, T=10, d=5, m=4, vocab=6)
     rng = np.random.default_rng(7)
-    offsets = hd.StreamState.zeros(head, steps.mask)
+    offsets = zero_state(head, steps.mask)
     tokens, gen_losses = [], []
     for t in range(H.shape[0]):
         out = hd.generate_step(head, steps, offsets, H[t], 0.8, rng)

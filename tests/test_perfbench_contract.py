@@ -67,8 +67,8 @@ def test_outputs_perfbench_reads():
     assert len(bb.SegmentMemory.empty(model.config.backbone).activations) == 1
 
     steps = model.step_sizes()
-    out = hd.generate_step(model.head, steps, hd.StreamState.zeros(model.head, steps.mask),
-                           rng.normal(size=8), 1.0, rng)
+    zeros = tr.StreamCarry.fresh(model).state(model.gammas())
+    out = hd.generate_step(model.head, steps, zeros, rng.normal(size=8), 1.0, rng)
     assert np.isfinite(out.fast_loss)
 
 

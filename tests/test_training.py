@@ -83,14 +83,16 @@ def test_streaming_gradients_match_finite_difference_with_gamma():
     rng = np.random.default_rng(9)
     vocab = model.config.backbone.vocab_size
 
-    # build a carry by running one segment first
+    # build a carry by running two segments first, so that both the state the
+    # last one read (which gamma decays) and its pending sums are nonzero
     toks0 = rng.integers(0, vocab, size=9)
-    carry0 = tr.StreamCarry.fresh(model)
-    res = tr.sequence_loss_and_grads(model, toks0[:-1], toks0[1:], "full",
-                                     carry=carry0)
-    carry = res.carry
+    carry = tr.StreamCarry.fresh(model)
+    for _ in range(2):
+        carry = tr.sequence_loss_and_grads(model, toks0[:-1], toks0[1:], "full",
+                                           carry=carry).carry
     assert carry is not None
     assert any(np.abs(v).sum() > 0 for v in carry.pending.values())
+    assert any(np.abs(v).sum() > 0 for v in carry.delta_prev.values())
 
     batch = tiny_batch(model, T=8, n_seqs=1, seed=13)
     err = tr.directional_derivative_check(model, batch, cfg, n_directions=4, seed=6,
@@ -114,17 +116,6 @@ def test_streaming_gamma_gradient_is_nonzero():
                                       carry=carry2)
     gnorm = sum(abs(float(res2.grads[f"gamma.{n}"])) for n in model.mask)
     assert gnorm > 0
-
-
-def test_first_order_toggle_changes_gradient():
-    model = tiny_model(seed=8)
-    batch = tiny_batch(model, T=8, seed=9)
-    full_cfg = tr.TrainConfig(mode="full", first_order=False)
-    fo_cfg = tr.TrainConfig(mode="full", first_order=True)
-    _, g_full, _ = tr.batch_loss_and_grads(model, batch, full_cfg)
-    _, g_fo, _ = tr.batch_loss_and_grads(model, batch, fo_cfg)
-    diff = sum(float(np.abs(g_full[k] - g_fo[k]).sum()) for k in g_full)
-    assert diff > 1e-6
 
 
 def test_alpha_gradient_present_only_for_masked_tensors():
