@@ -20,19 +20,25 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(x):
-    """tanh-approximate GELU and its derivative."""
+    """tanh-approximate GELU. Returns (y, t), t the tanh that gelu_grad reads."""
     # Plain products, not float `**` (numpy calls pow() per element), and
     # in-place updates: each (T, d_ff) temporary is a fresh allocation.
-    x2 = x * x
-    t = 0.044715 * x2
+    t = x * x
+    t *= 0.044715
     t += 1.0
     t *= _GELU_C * x
     np.tanh(t, out=t)
     y = 1.0 + t
     y *= 0.5 * x
-    # dy = 0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)
+    return y, t
+
+
+def gelu_grad(x, t):
+    """The derivative of gelu at x, given gelu's tanh t:
+    0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 * 0.044715 x^2)."""
     dy = t * t
     np.subtract(1.0, dy, out=dy)
+    x2 = x * x
     x2 *= 3 * 0.044715 * _GELU_C
     x2 += _GELU_C
     x2 *= x
@@ -40,7 +46,7 @@ def gelu(x):
     dy += 1.0
     dy += t
     dy *= 0.5
-    return y, dy
+    return dy
 
 
 @dataclass
@@ -58,8 +64,9 @@ class BackboneConfig:
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.memory_len < 0:
-            raise ConfigError(f"memory_len must be >= 0, got {self.memory_len}")
+        for name in ("memory_len", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -240,18 +247,18 @@ def _ff(lp: LayerParams, x):
     y, ln_cache = layernorm_fwd(x, lp.ln2_g, lp.ln2_b)
     h1 = y @ lp.w1
     h1 += lp.b1
-    act, dact = gelu(h1)
+    act, t = gelu(h1)
     out = act @ lp.w2 + lp.b2
-    return out, (y, ln_cache, act, dact)
+    return out, (y, ln_cache, h1, t, act)
 
 
 def _ff_bwd(lp: LayerParams, cache, dout):
-    y, ln_cache, act, dact = cache
+    y, ln_cache, h1, t, act = cache
     grads = {}
     grads["w2"] = act.T @ dout
     grads["b2"] = dout.sum(axis=0)
     dh1 = dout @ lp.w2.T
-    dh1 *= dact
+    dh1 *= gelu_grad(h1, t)
     grads["w1"] = y.T @ dh1
     grads["b1"] = dh1.sum(axis=0)
     dy = dh1 @ lp.w1.T
@@ -273,8 +280,12 @@ def _check_tokens(params: BackboneParams, tokens: np.ndarray):
 
 
 def encode_with_cache(params: BackboneParams, tokens,
-                      memory: SegmentMemory | None = None):
-    """Returns (H (T, d_model), cache, new SegmentMemory or None)."""
+                      memory: SegmentMemory | None = None, backward: bool = True):
+    """Returns (H (T, d_model), cache, new SegmentMemory or None).
+
+    With backward False no encode_backward reads this pass: cache is None,
+    and each layer's caches are dropped as soon as the layer has used them.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
     _check_tokens(params, tokens)
     cfg = params.cfg
@@ -290,13 +301,16 @@ def encode_with_cache(params: BackboneParams, tokens,
         if cfg.memory_len:
             new_mem.append(np.vstack([mems[li], x])[-cfg.memory_len:].copy())
         attn, a_cache = _attention(lp, x, mems[li], cfg)
-        x1 = x + attn
-        ff, f_cache = _ff(lp, x1)
-        x2 = x1 + ff
-        layer_caches.append((a_cache, f_cache))
-        x = x2
+        if not backward:
+            a_cache = None  # free the attention weights before the FF allocates
+        x = x + attn
+        ff, f_cache = _ff(lp, x)
+        x += ff
+        if backward:
+            layer_caches.append((a_cache, f_cache))
+        del f_cache  # held by layer_caches, or freed before the next layer
     H, lnf_cache = layernorm_fwd(x, params.lnf_g, params.lnf_b)
-    cache = (tokens, layer_caches, lnf_cache)
+    cache = (tokens, layer_caches, lnf_cache) if backward else None
     out_mem = SegmentMemory(new_mem) if cfg.memory_len else None
     return H, cache, out_mem
 
@@ -347,7 +361,7 @@ def encode_next(params: BackboneParams, token: int, pos: int, kv,
 
 def encode(params: BackboneParams, tokens) -> np.ndarray:
     """Context vectors; h_t depends only on tokens at positions <= t."""
-    H, _, _ = encode_with_cache(params, tokens)
+    H, _, _ = encode_with_cache(params, tokens, backward=False)
     return H
 
 

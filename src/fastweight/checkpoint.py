@@ -2,8 +2,9 @@
 
 Single binary file: magic, format version, a JSON metadata block (model and
 training configuration, tokenizer, step counter), then named tensors, each as
-name length, name, rank, dims, and a little-endian float64 payload. Round
-trips are bit-exact.
+name length, name, rank, dims, and a little-endian float64 payload. Format 2
+ends with a CRC-32 of every byte after the magic, so an edit anywhere is an
+error; format 1 files, which have none, still load. Round trips are bit-exact.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,34 +24,37 @@ from .numerics import ConfigError
 from .training import Model, ModelConfig, TrainConfig, init_model
 
 MAGIC = b"FWLCKPT1"
-VERSION = 1
+VERSION = 2
 
 
-def _write_tensor(f, name: str, arr: np.ndarray):
+def _write_tensor(write, name: str, arr: np.ndarray):
     data = np.asarray(arr, dtype="<f8")  # tobytes() copies, contiguity not needed
     nb = name.encode("utf-8")
-    f.write(struct.pack("<I", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<I", data.ndim))
+    write(struct.pack("<I", len(nb)))
+    write(nb)
+    write(struct.pack("<I", data.ndim))
     for dim in data.shape:
-        f.write(struct.pack("<Q", dim))
-    f.write(data.tobytes())
+        write(struct.pack("<Q", dim))
+    write(data.tobytes())
 
 
 class _Reader:
     """Sequential reads from an open checkpoint. A length past the end of the
     file raises ConfigError before anything is read, so a corrupt length
-    cannot allocate."""
+    cannot allocate. crc is the CRC-32 of the bytes read so far."""
 
     def __init__(self, f, path):
         self.f, self.path = f, path
         self.left = os.fstat(f.fileno()).st_size - f.tell()
+        self.crc = 0
 
     def read(self, n: int) -> bytes:
         if n > self.left:
             raise ConfigError(f"{self.path} is truncated or corrupt")
         self.left -= n
-        return self.f.read(n)
+        data = self.f.read(n)
+        self.crc = zlib.crc32(data, self.crc)
+        return data
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
@@ -108,13 +113,21 @@ def save_checkpoint(path, model: Model, train_config: TrainConfig | None,
         try:
             with open(tmp, "wb") as f:
                 f.write(MAGIC)
-                f.write(struct.pack("<I", VERSION))
+                crc = 0
+
+                def write(data: bytes):
+                    nonlocal crc
+                    crc = zlib.crc32(data, crc)
+                    f.write(data)
+
+                write(struct.pack("<I", VERSION))
                 blob = json.dumps(meta).encode("utf-8")
-                f.write(struct.pack("<Q", len(blob)))
-                f.write(blob)
-                f.write(struct.pack("<Q", len(tensors)))
+                write(struct.pack("<Q", len(blob)))
+                write(blob)
+                write(struct.pack("<Q", len(tensors)))
                 for name, arr in tensors:
-                    _write_tensor(f, name, arr)
+                    _write_tensor(write, name, arr)
+                f.write(struct.pack("<I", crc))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -142,7 +155,7 @@ def load_checkpoint(path) -> CheckpointData:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
         r = _Reader(f, path)
         (version,) = r.unpack("<I")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise ConfigError(f"unsupported checkpoint version {version}")
         (meta_len,) = r.unpack("<Q")
         try:
@@ -151,6 +164,11 @@ def load_checkpoint(path) -> CheckpointData:
             tensors = dict(_read_tensor(r) for _ in range(n_tensors))
         except ValueError as e:  # bad UTF-8 or JSON
             raise ConfigError(f"{path} is truncated or corrupt") from e
+        crc = r.crc
+        if version > 1 and r.unpack("<I") != (crc,):
+            raise ConfigError(f"{path} is corrupt: its checksum does not match")
+        if r.left:
+            raise ConfigError(f"{path} is corrupt: {r.left} bytes follow its last tensor")
 
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: metadata is not a JSON object")

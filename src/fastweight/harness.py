@@ -476,7 +476,8 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     start = (len(ids) - 1) // L * L  # the current segment's first position
     carry = StreamCarry.fresh(model, steps.mask)
     for tokens, targets in doc_segments(np.array(ids[:start + 1]), L):
-        H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory)
+        H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
+                                            backward=False)
         carry = StreamCarry(memory, carry.state(gammas), slow_sums(H, targets))
     state = carry.state(gammas)
     H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)

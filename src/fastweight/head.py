@@ -248,7 +248,9 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
     def minus_fast(x, q, *names):
         """x minus alpha * (summed earlier gradients, from the stream
         accumulator on) for each masked tensor in names: linear attention with
-        queries q for a matrix, an exclusive cumsum for a vector."""
+        queries q for a matrix, an exclusive cumsum for a vector. Only the
+        first subtraction allocates; x itself is never written."""
+        x_in = x
         for name in names:
             if name not in mask:
                 continue
@@ -264,7 +266,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
                 if init is not None:
                     term = term + init
                 cum[name] = term
-            x = x - steps.alpha[name] * term
+            x = np.subtract(x, steps.alpha[name] * term, out=None if x is x_in else x)
         return x
 
     # a layer is recomputed only if a tensor at or below it is fast

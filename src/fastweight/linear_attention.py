@@ -66,10 +66,16 @@ def chunked_causal_linear_attention(q, k, v, chunk_size: int, init: KVState | No
     T = q.shape[0]
     out = np.empty((T, v.shape[1]))
     state = init.accumulator.copy() if init is not None else np.zeros((k.shape[1], v.shape[1]))
+    C = min(chunk_size, T)
+    future = np.arange(C) >= np.arange(C)[:, None]  # key i not strictly before query t
     for s in range(0, T, chunk_size):
         e = min(s + chunk_size, T)
         qc, kc, vc = q[s:e], k[s:e], v[s:e]
-        out[s:e] = np.tril(qc @ kc.T, k=-1) @ vc + qc @ state
+        scores = qc @ kc.T
+        np.copyto(scores, 0.0, where=future[:e - s, :e - s])
+        o = scores @ vc
+        o += qc @ state
+        out[s:e] = o
         state += kc.T @ vc
     return out, KVState(state)
 

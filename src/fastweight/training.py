@@ -23,6 +23,7 @@ one scoring loop (`score_streams`), shared by `fit`'s dev NLL and
 """
 
 import dataclasses
+import sys
 import time
 from dataclasses import dataclass
 
@@ -413,13 +414,23 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        """Comparisons are written so that NaN fails them; a float setting
+        must also be finite (an integer too large for a float is not)."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("learning_rate", "batch_size", "seq_len", "total_steps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.warmup_steps < 0 or self.clip_norm <= 0:
-            raise ConfigError("warmup_steps must be >= 0 and clip_norm positive")
+        for f in dataclasses.fields(self):
+            if f.type is float and not abs(getattr(self, f.name)) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("learning_rate", "batch_size", "seq_len", "total_steps", "eval_every",
+                     "clip_norm", "eps"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("warmup_steps", "weight_decay", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got "
+                              f"{self.beta1} and {self.beta2}")
         return self
 
 
@@ -591,7 +602,8 @@ def score_streams(model: Model, streams, steps: hd.StepSizes | None) -> list[np.
         nlls = []
         carry = StreamCarry.fresh(model, steps.mask if steps is not None else ())
         for i, (tokens, targets) in enumerate(stream):
-            H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory)
+            H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
+                                                backward=False)
             tape, losses = hd.slow_forward(model.head, H, targets)
             state, pending = carry.state(gammas), {}
             if steps is not None:

@@ -60,8 +60,9 @@ def _gelu_closed_form(x):
 
 def test_gelu_matches_closed_form_and_central_differences():
     x = np.linspace(-10.0, 10.0, 4001)
-    y, dy = bb.gelu(x)
+    y, t = bb.gelu(x)
     np.testing.assert_allclose(y, _gelu_closed_form(x), rtol=1e-13, atol=1e-15)
+    dy = bb.gelu_grad(x, t)  # the derivative, from the forward's tanh
     eps = 1e-6
     fd = (_gelu_closed_form(x + eps) - _gelu_closed_form(x - eps)) / (2 * eps)
     np.testing.assert_allclose(dy, fd, rtol=0, atol=1e-8)
@@ -117,6 +118,25 @@ def test_encode_matches_per_head_loop_reference(memory_len):
     H, _, _ = bb.encode_with_cache(params, seg2, memory)
     want = _encode_loop_reference(params, seg2, mems)
     assert np.max(np.abs(H - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("memory_len", [0, 3])
+def test_forward_only_encode_is_bit_equal_to_the_cached_walk(memory_len):
+    params = bb.init_backbone(tiny_config(memory_len=memory_len))
+    rng = np.random.default_rng(5)
+    memory = bb.SegmentMemory.empty(params.cfg) if memory_len else None
+    for size in (7, 9):  # the second segment reads the first one's memory
+        tokens = rng.integers(0, 11, size=size)
+        H, cache, want_memory = bb.encode_with_cache(params, tokens, memory)
+        H_fwd, no_cache, memory = bb.encode_with_cache(params, tokens, memory,
+                                                       backward=False)
+        assert cache is not None and no_cache is None
+        assert H_fwd.tobytes() == H.tobytes()
+        if memory_len:
+            for got, want in zip(memory.activations, want_memory.activations):
+                assert got.tobytes() == want.tobytes()
+        else:
+            assert memory is None and want_memory is None
 
 
 @pytest.mark.parametrize("memory_len", [0, 5])

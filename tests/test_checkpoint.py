@@ -4,6 +4,7 @@ edited or truncated, raises ConfigError and nothing else."""
 import json
 import os
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +35,15 @@ DATA = _checkpoint_bytes()
 META_END = 20 + int.from_bytes(DATA[12:20], "little")
 
 
+def _signed(body: bytes) -> bytes:
+    """body, a format-2 file without its checksum, with the checksum."""
+    return body + zlib.crc32(body[8:]).to_bytes(4, "little")
+
+
 def _with_meta(edit) -> bytes:
-    """DATA with its metadata replaced by edit(metadata)."""
+    """DATA with its metadata replaced by edit(metadata), checksum renewed."""
     blob = json.dumps(edit(json.loads(DATA[20:META_END]))).encode()
-    return DATA[:12] + len(blob).to_bytes(8, "little") + blob + DATA[META_END:]
+    return _signed(DATA[:12] + len(blob).to_bytes(8, "little") + blob + DATA[META_END:-4])
 
 
 def _load(data: bytes):
@@ -91,15 +97,34 @@ def test_malformed_metadata_is_config_error(path, value):
         _load(_with_meta(edit))
 
 
+def test_format_one_file_without_checksum_loads():
+    # format 1 is format 2 without the trailing checksum
+    old = _load(DATA[:8] + (1).to_bytes(4, "little") + DATA[12:-4])
+    new = _load(DATA)
+    for (key, a), (_, b) in zip(old.model.named_params(), new.model.named_params()):
+        assert a.tobytes() == b.tobytes(), key
+    assert (old.step, old.tokenizer, old.train_config) == (new.step, new.tokenizer,
+                                                            new.train_config)
+
+
+@pytest.mark.parametrize("data", [
+    DATA[:8] + (1).to_bytes(4, "little") + DATA[12:],  # format 1 has no checksum to skip
+    DATA + b"\0",
+], ids=["format-two-read-as-one", "trailing-byte"])
+def test_bytes_after_the_last_tensor_are_config_error(data):
+    with pytest.raises(ConfigError, match="bytes follow"):
+        _load(data)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    st.tuples(st.just("edit"), st.integers(0, META_END - 1), st.integers(0, 255)),
-    st.tuples(st.just("edit"), st.integers(0, len(DATA) - 1), st.integers(0, 255)),
+    st.tuples(st.just("edit"), st.integers(0, META_END - 1), st.integers(1, 255)),
+    st.tuples(st.just("edit"), st.integers(0, len(DATA) - 1), st.integers(1, 255)),
     st.tuples(st.just("cut"), st.integers(0, len(DATA) - 1), st.just(0))))
 def test_byte_edits_and_truncations_raise_only_config_error(change):
-    kind, pos, byte = change
-    data = DATA[:pos] if kind == "cut" else DATA[:pos] + bytes([byte]) + DATA[pos + 1:]
-    try:
-        _load(data)  # an edit in a tensor's payload may load
-    except ConfigError:
-        pass
+    # every edit of one byte (xor with a nonzero mask) and every truncation,
+    # a tensor's payload included, is an error
+    kind, pos, mask = change
+    data = DATA[:pos] if kind == "cut" else DATA[:pos] + bytes([DATA[pos] ^ mask]) + DATA[pos + 1:]
+    with pytest.raises(ConfigError):
+        _load(data)

@@ -4,7 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fastweight import backbone as bb
+from fastweight import training as tr
 from fastweight.checkpoint import load_checkpoint, save_checkpoint
 from fastweight.cli import main
 from fastweight.corpus import make_entity_corpus
@@ -243,8 +247,17 @@ def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
     '{"train": {"learning_rate": "x"}}',   # a string for a float
     '{"model": {"d_model": "8"}}',         # a string for an int
     '{"model": {"mask": 5}}',              # a number for a list of tensor names
+    '{"train": {"eval_every": 0}}',        # was a ZeroDivisionError in fit
+    '{"train": {"beta1": 1.0}}',           # was NaN step sizes, exit 3
+    '{"train": {"beta2": -0.1}}',
+    '{"train": {"eps": 0}}',
+    '{"train": {"weight_decay": -1e-3}}',
+    '{"train": {"learning_rate": NaN}}',   # Python's json reads NaN
+    '{"train": {"seed": -1}}',             # was a ValueError from numpy's rng
 ], ids=["unknown-train-key", "malformed-json", "unknown-model-key", "not-an-object",
-        "str-learning-rate", "str-d-model", "int-mask"])
+        "str-learning-rate", "str-d-model", "int-mask", "eval-every-0", "beta1-1",
+        "beta2-negative", "eps-0", "weight-decay-negative", "nan-learning-rate",
+        "negative-seed"])
 def test_bad_train_config_is_config_error(workdir, tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)
@@ -255,3 +268,35 @@ def test_bad_train_config_is_config_error(workdir, tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "run")
+
+
+_CONFIG_FIELDS = {
+    "train": [f.name for f in dataclasses.fields(tr.TrainConfig)],
+    "model": [f.name for c in (tr.ModelConfig, bb.BackboneConfig)
+              for f in dataclasses.fields(c) if f.name != "backbone"],
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.fixed_dictionaries({}, optional={
+    section: st.dictionaries(st.sampled_from(names), _JSON_VALUES, max_size=4)
+    for section, names in _CONFIG_FIELDS.items()}))
+def test_fuzzed_train_config_exits_zero_or_one(workdir, tmp_path, capsys, monkeypatch, config):
+    # any JSON value under any known setting name is a run or a config error;
+    # fit is stubbed, so this checks the boundary, not training
+    monkeypatch.setattr(tr, "fit", lambda *a, **k: tr.FitResult(None, {}, 0, 1.0))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--config", str(path), "--total-steps", "1"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1

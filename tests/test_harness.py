@@ -124,6 +124,27 @@ def test_score_decays_the_carried_state_between_segments(memory_len):
     np.testing.assert_allclose(res.nll_docs[0], ref, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("memory_len", [0, 3])
+def test_scoring_keeps_no_backward_cache(monkeypatch, memory_len):
+    # nothing reads a backward in score or in dyneval at step 0, so no
+    # encode there may build one
+    ckpt = _generation_ckpt(memory_len)
+    caches = []
+    with_cache = bb.encode_with_cache
+
+    def recording(*args, **kwargs):
+        out = with_cache(*args, **kwargs)
+        caches.append(out[1])
+        return out
+
+    monkeypatch.setattr(bb, "encode_with_cache", recording)
+    corpus = Corpus([np.arange(30) % 9, np.arange(5) % 9], ckpt.tokenizer)
+    for variant in hn.VARIANTS:
+        hn.score(ckpt, corpus, variant, global_step=0.01)
+    hn.dynamic_evaluate(ckpt, corpus, 0.0, chunk_len=4)
+    assert len(caches) == 4 * 5 + 9 and all(c is None for c in caches)
+
+
 def test_score_tokenizer_mismatch_raises(small_ckpt):
     ckpt, _ = small_ckpt
     other = corpus_from_text("completely different words", "word")
@@ -347,9 +368,9 @@ def test_generate_encodes_one_position_per_sample(monkeypatch, prompt_len, n):
     positions = []
     with_cache, next_one = bb.encode_with_cache, bb.encode_next
 
-    def counted_with_cache(params, tokens, memory=None):
+    def counted_with_cache(params, tokens, memory=None, **kwargs):
         positions.append(len(tokens))
-        return with_cache(params, tokens, memory)
+        return with_cache(params, tokens, memory, **kwargs)
 
     def counted_next(*args):
         positions.append(1)

@@ -7,7 +7,11 @@ benchmark's self-test without failing any other test.
 
 import importlib
 import importlib.util
+import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -19,8 +23,8 @@ from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData
 from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
 
-SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "perfbench", "spans.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS_PATH = os.path.join(ROOT, "perfbench", "spans.py")
 
 
 def _spans():
@@ -94,3 +98,15 @@ def test_scoring_hands_the_kernel_a_carried_state():
     inits = [a[4] if len(a) > 4 else k.get("init") for a, k in captured]
     assert captured and all(i is None or isinstance(i, la.KVState) for i in inits)
     assert any(i is not None and np.any(i.accumulator) for i in inits)
+
+
+def test_traced_eval_run_is_correct():
+    # --trace 1 divides by the positions traced through encode_with_cache, so
+    # a scoring path that stopped calling it would crash the traced run
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "eval", "--tiny",
+                          "--trace", "1", "--seconds", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert math.isfinite(result["metrics"]["backbone.encode.useful_ratio"]["value"])
