@@ -158,13 +158,6 @@ def init_backbone(config: BackboneConfig) -> BackboneParams:
     )
 
 
-def param_count(config: BackboneConfig) -> int:
-    d, dff = config.d_model, config.d_ff
-    per_layer = 4 * (d * d + d) + 2 * 2 * d + d * dff + dff + dff * d + d
-    return (config.vocab_size * d + config.max_seq_len * d
-            + config.n_layers * per_layer + 2 * d)
-
-
 @dataclass
 class SegmentMemory:
     """Per-layer cached activations of the previous segment (constants)."""

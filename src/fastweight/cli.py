@@ -64,7 +64,6 @@ def _build_parser():
     s.add_argument("--variant", choices=harness.VARIANTS, default="baseline")
     s.add_argument("--global-step", type=float)
     s.add_argument("--nll-out", help="write per-document NLL streams as JSONL")
-    s.add_argument("--seed", type=int, default=0)
 
     g = sub.add_parser("generate", help="sample text")
     g.add_argument("--ckpt", required=True)
@@ -79,7 +78,6 @@ def _build_parser():
     d.add_argument("--corpus", required=True)
     d.add_argument("--step-size", type=float, required=True)
     d.add_argument("--chunk-len", type=int, default=32)
-    d.add_argument("--seed", type=int, default=0)
 
     a = sub.add_parser("ablate", help="five-variant comparison table")
     a.add_argument("--slow-ckpt", required=True)
@@ -88,20 +86,17 @@ def _build_parser():
     a.add_argument("--corpus", required=True)
     a.add_argument("--dev", help="corpus for tuning step sizes")
     a.add_argument("--csv", help="write the table as CSV here")
-    a.add_argument("--seed", type=int, default=0)
 
     an = sub.add_parser("analyze", help="per-token improvement buckets")
     an.add_argument("--ckpt", required=True, help="FWL checkpoint")
     an.add_argument("--corpus", required=True)
     an.add_argument("--csv", help="write buckets as CSV here")
-    an.add_argument("--seed", type=int, default=0)
 
     b = sub.add_parser("bench", help="FLOP accounting and throughput")
     b.add_argument("--ckpt", required=True)
     b.add_argument("--corpus", required=True)
     b.add_argument("--max-docs", type=int)
     b.add_argument("--dyneval-step", type=float, default=0.01)
-    b.add_argument("--seed", type=int, default=0)
 
     v = sub.add_parser("verify", help="oracle, kernel and generation consistency suites")
     v.add_argument("--seed", type=int, default=0)

@@ -15,8 +15,9 @@ from . import linear_attention as la
 from .checkpoint import CheckpointData
 from .corpus import UNK, Corpus, token_frequencies
 from .numerics import ConfigError
-from .training import (Model, StreamCarry, doc_segments, head_slow_vjp,
-                       score_streams)
+# head_slow_vjp is not called here; perfbench's spans.WRAPPED wraps harness.head_slow_vjp
+from .training import (Model, StreamCarry, doc_segments, head_slow_vjp,  # noqa: F401
+                       score_streams, sequence_loss_and_grads)
 
 VARIANTS = ("baseline", "fwl", "test-time-only", "bias-only")
 
@@ -30,9 +31,10 @@ def _check_tokenizer(ckpt: CheckpointData, corpus: Corpus):
             f"{ckpt.model.config.backbone.vocab_size}")
 
 
-def _variant_steps(model: Model, variant: str, global_step) -> hd.StepSizes | None:
+def _variant_steps(model: Model, variant: str, global_step) -> hd.StepSizes:
+    """The step sizes a variant reads; an empty mask means no fast weights."""
     if variant == "baseline":
-        return None
+        return hd.StepSizes({}, ())
     if variant == "fwl":
         return model.step_sizes()
     if variant == "test-time-only":
@@ -96,9 +98,10 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
     """Chunked test-time SGD on all parameters (backbone + head).
 
     Per document: score a chunk with the current weights, take one SGD step on
-    the gradient of that chunk's mean loss, continue. Chunks follow the same
-    segment convention as score (segment memory threads across them when the
-    model has it), so a zero step size is score(baseline, chunk_len), and is
+    the gradient of that chunk's mean loss, continue. That is slow-only
+    streaming training with SGD: each chunk is one sequence_loss_and_grads
+    segment, with a StreamCarry threading segment memory across them when the
+    model has it. So a zero step size is score(baseline, chunk_len), and is
     computed as that. Weights reset per document; every document owns its
     private copy.
     """
@@ -113,18 +116,15 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
     t0 = time.perf_counter()
     for doc in corpus.documents:
         model = base.copy()
-        memory = None
+        carry = StreamCarry.fresh(model, ())
         nlls = []
         for tokens, targets in doc_segments(doc, seq_len):
-            H, bcache, memory = bb.encode_with_cache(model.backbone, tokens, memory)
-            tape, losses = hd.slow_forward(model.head, H, targets)
-            nlls.append(losses)
-            dhead, dH = head_slow_vjp(model.head, tape, 1.0 / len(targets))
-            bgrads = bb.encode_backward(model.backbone, bcache, dH)
-            for name, g in dhead.items():
-                setattr(model.head, name, model.head.tensor(name) - step_size * g)
-            for key, g in bgrads.items():
-                model.backbone.set(key, model.backbone.get(key) - step_size * g)
+            res = sequence_loss_and_grads(model, tokens, targets, "slow-only", carry,
+                                          w=1.0 / len(targets))
+            nlls.append(res.losses)
+            carry = res.carry
+            for key, g in res.grads.items():
+                model.set(key, model.get(key) - step_size * g)
         nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
     return _score_result(nll_docs, time.perf_counter() - t0)
 
@@ -450,12 +450,9 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
     if temperature < 0:
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
-    if variant == "baseline":
-        steps = hd.StepSizes.uniform(0.0, ())
-    elif variant == "fwl":
-        steps = model.step_sizes()
-    else:
+    if variant not in ("baseline", "fwl"):
         raise ConfigError(f"generate supports baseline or fwl, got {variant!r}")
+    steps = _variant_steps(model, variant, None)
     ids = [int(i) for i in ids]
     if not ids:
         raise ConfigError("prompt produced no tokens")

@@ -316,19 +316,13 @@ def _slow_forward_vjp(head: hd.HeadParams, tape, dhead, dLG, dUo, dXH, dISTD, dV
     return dZ @ head.U.T
 
 
-def head_slow_vjp(head: hd.HeadParams, tape, w):
-    """Gradient of sum_t w_t L_t (slow losses only). Returns (dhead, dH).
-
-    w may be a scalar or a (T,) vector of per-position loss weights.
-    """
+def head_slow_vjp(head: hd.HeadParams, tape, w: float):
+    """Gradient of w * sum_t L_t (slow losses only). Returns (dhead, dH)."""
     T = tape.h.shape[0]
     dhead = _zero_head_grads(head)
     dLG = tape.probs.copy()
     dLG[np.arange(T), tape.targets] -= 1.0
-    if np.ndim(w) == 0:
-        dLG *= w
-    else:
-        dLG *= np.asarray(w)[:, None]
+    dLG *= w
     return dhead, _slow_forward_vjp(head, tape, dhead, dLG, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -588,25 +582,25 @@ def make_windows(documents: list[np.ndarray], seq_len: int):
     return [seg for doc in documents for seg in doc_segments(doc, seq_len)]
 
 
-def score_streams(model: Model, streams, steps: hd.StepSizes | None) -> list[np.ndarray]:
+def score_streams(model: Model, streams, steps: hd.StepSizes) -> list[np.ndarray]:
     """Per-token NLL of each stream, a list of (tokens, targets) segments.
 
     A StreamCarry threads backbone memory and fast state across the segments
     of a stream, as in streaming training, and restarts with each stream.
-    With steps None these are the slow losses, else the fast-pass losses
-    under those step sizes.
+    With an empty steps.mask these are the slow losses, else the fast-pass
+    losses under those step sizes.
     """
     gammas = model.gammas()
     nll_streams = []
     for stream in streams:
         nlls = []
-        carry = StreamCarry.fresh(model, steps.mask if steps is not None else ())
+        carry = StreamCarry.fresh(model, steps.mask)
         for i, (tokens, targets) in enumerate(stream):
             H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
                                                 backward=False)
             tape, losses = hd.slow_forward(model.head, H, targets)
             state, pending = carry.state(gammas), {}
-            if steps is not None:
+            if steps.mask:
                 grads = hd.per_position_grads(model.head, tape)
                 losses = hd.fast_forward(model.head, steps, H, tape, grads, state=state,
                                          chunk_size=model.config.chunk_size).losses
@@ -738,7 +732,8 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
             }
             if (step + 1) % config.eval_every == 0 or step + 1 == config.total_steps:
                 # every dev window is scored as its own stream
-                steps = None if config.mode == "slow-only" else model.step_sizes()
+                steps = (hd.StepSizes({}, ()) if config.mode == "slow-only"
+                         else model.step_sizes())
                 nlls = score_streams(model, dev_streams, steps)
                 dev_nll = sum(float(n.sum()) for n in nlls) / max(sum(n.size for n in nlls), 1)
                 record["dev_nll"] = dev_nll

@@ -85,6 +85,16 @@ def test_bad_generate_argument_is_config_error(workdir, capsys, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("variant", ["test-time-only", "bias-only"])
+def test_generate_rejects_other_variants(workdir, capsys, variant):
+    rc = main(["generate", "--ckpt", str(workdir / "run" / "final.ckpt"),
+               "--prompt", "belardan saw", "--variant", variant])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "invalid choice" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_dyneval_runs(workdir, capsys):
     ckpt = str(workdir / "run" / "final.ckpt")
     rc = main(["dyneval", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),

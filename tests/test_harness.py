@@ -199,16 +199,21 @@ def test_dynamic_evaluate_matches_a_reference_walk_with_memory(chunk_len):
     got = hn.dynamic_evaluate(ckpt, corpus, step, chunk_len=chunk_len).nll_docs
     static = hn.score(ckpt, corpus, "baseline", seq_len=chunk_len).nll_docs
     for doc, nll, base in zip(corpus.documents, got, static):
+        # an explicit walk, not the training step: backbone, slow head and
+        # their backward by hand, with the memory threaded in a local
         model = ckpt.model.copy()
-        carry = tr.StreamCarry.fresh(model, ())
+        memory = None
         want = []
         for tokens, targets in tr.doc_segments(doc, chunk_len):
-            res = tr.sequence_loss_and_grads(model, tokens, targets, "slow-only", carry,
-                                             w=1.0 / len(targets))
-            want.append(res.losses)
-            carry = res.carry
-            for key, g in res.grads.items():
-                model.set(key, model.get(key) - step * g)
+            H, bcache, memory = bb.encode_with_cache(model.backbone, tokens, memory)
+            tape, losses = hd.slow_forward(model.head, H, targets)
+            want.append(losses)
+            dhead, dH = tr.head_slow_vjp(model.head, tape, 1.0 / len(targets))
+            bgrads = bb.encode_backward(model.backbone, bcache, dH)
+            for name, g in dhead.items():
+                setattr(model.head, name, model.head.tensor(name) - step * g)
+            for key, g in bgrads.items():
+                model.backbone.set(key, model.backbone.get(key) - step * g)
         np.testing.assert_allclose(nll, np.concatenate(want), rtol=0, atol=1e-12)
         assert np.abs(nll - base).max() > 1e-6  # the steps change the scores
 
@@ -380,6 +385,16 @@ def test_generate_encodes_one_position_per_sample(monkeypatch, prompt_len, n):
     monkeypatch.setattr(bb, "encode_next", counted_next)
     hn.generate_ids(ckpt.model, np.zeros(prompt_len, dtype=int), n)
     assert sum(positions) == (prompt_len + n - 1 if n else 0)
+
+
+@pytest.mark.parametrize("variant", ["test-time-only", "bias-only"])
+def test_generate_rejects_variants_without_a_sampler(small_ckpt, variant):
+    ckpt, corpus = small_ckpt
+    with pytest.raises(ConfigError, match="generate supports baseline or fwl"):
+        hn.generate_ids(ckpt.model, corpus.documents[0][:4], 3, variant=variant)
+    with pytest.raises(ConfigError, match="generate supports baseline or fwl"):
+        hn.generate(ckpt, corpus.tokenizer.decode(corpus.documents[0][:4]), 3,
+                    variant=variant)
 
 
 def test_generate_warns_on_out_of_vocabulary_prompt(small_ckpt):
