@@ -116,7 +116,8 @@ _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, tuple[str, .
 
 def _read_config(path) -> dict:
     """The --config file: {"train": {TrainConfig fields}, "model":
-    {ModelConfig or BackboneConfig fields}}, each section optional."""
+    {ModelConfig or BackboneConfig fields but vocab_size, which the corpus
+    sets}}, each section optional."""
     with open(path) as fh:
         try:
             overrides = json.load(fh)
@@ -124,7 +125,8 @@ def _read_config(path) -> dict:
             raise ConfigError(f"{path} is not valid JSON: {e}") from e
     known = {"train": {f.name: f.type for f in dataclasses.fields(tr.TrainConfig)},
              "model": {f.name: f.type for c in (tr.ModelConfig, bb.BackboneConfig)
-                       for f in dataclasses.fields(c) if f.name != "backbone"}}
+                       for f in dataclasses.fields(c)
+                       if f.name not in ("backbone", "vocab_size")}}
     if (not isinstance(overrides, dict) or set(overrides) - set(known)
             or not all(isinstance(v, dict) for v in overrides.values())):
         raise ConfigError(f"{path} must hold a JSON object with only \"train\" "
@@ -265,6 +267,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     failures = 0
 

@@ -389,8 +389,9 @@ def bench(ckpt: CheckpointData, corpus: Corpus, dyneval_step: float = 0.01,
           dyneval_chunk: int = 32, max_docs: int | None = None) -> BenchReport:
     """Analytic FLOP report plus measured scoring throughput, each rate the
     median of _BENCH_REPEATS runs after a warm-up."""
-    docs = corpus.documents[:max_docs] if max_docs else corpus.documents
-    sub = Corpus(docs, corpus.tokenizer)
+    if max_docs is not None and max_docs < 1:
+        raise ConfigError(f"max_docs must be >= 1, got {max_docs}")
+    sub = Corpus(corpus.documents[:max_docs], corpus.tokenizer)
     measured = {}
     measured["baseline_tokens_per_sec"] = _median_tokens_per_sec(
         lambda: score(ckpt, sub, "baseline"))
@@ -448,8 +449,10 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     """
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if variant not in ("baseline", "fwl"):
         raise ConfigError(f"generate supports baseline or fwl, got {variant!r}")
     steps = _variant_steps(model, variant, None)

@@ -326,10 +326,12 @@ def head_grads_single(head: HeadParams, h: np.ndarray, target: int) -> dict[str,
 
 
 def sample_token(logits: np.ndarray, temperature: float, rng) -> int:
-    """Temperature 0 is argmax with ties to the lowest id."""
+    """Temperature 0 is argmax with ties to the lowest id. A tiny temperature
+    samples among the argmax ties: the others overflow to -inf, not NaN."""
     if temperature == 0.0:
         return int(np.argmax(logits))
-    p = softmax(logits / temperature)
+    with np.errstate(over="ignore"):
+        p = softmax((logits - logits.max()) / temperature)
     return int(rng.choice(p.shape[0], p=p))
 
 

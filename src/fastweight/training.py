@@ -3,14 +3,14 @@
 The training objective is the mean fast-pass loss. Its gradient is assembled
 by hand in three sweeps, mirroring how the loss was built:
 
-  1. fast-pass reverse: direct parameter/step-size paths, plus upstream
-     gradients into the per-position gradient rows and the slow activations
-     they attend over;
+  1. fast-pass reverse (`_head_reverse` on the fast activations): direct
+     parameter/step-size paths, plus upstream gradients into the
+     per-position gradient rows and the slow activations they attend over;
   2. reverse through the slow backward itself (the second-order part: the
      gradient rows are functions of the parameters, so their consumers
      contribute curvature terms);
-  3. slow-forward and backbone reverse for everything that accumulated on the
-     slow activations.
+  3. the same `_head_reverse` on the slow tape, then the backbone reverse,
+     for everything that accumulated on the slow activations.
 
 Stream accumulators carried across segments are constants (stop-gradient).
 A StreamCarry holds them lazily, as the state the previous segment read plus
@@ -173,10 +173,7 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     """Gradient of w * sum_t L'_t w.r.t. head tensors, step sizes, H and the
     stream accumulators. Returns (dhead, dalpha, ddelta, dH)."""
     cache = fast.cache
-    mask = set(steps.mask)
-    alpha = steps.alpha
     T, d = H.shape
-    targets = tape.targets
 
     dhead = _zero_head_grads(head)
     dalpha = {}
@@ -186,65 +183,31 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     drows = {f: np.zeros_like(getattr(grads, f)) for f in dict.fromkeys(hd.ROWS.values())}
     dkeys = {}
 
-    def vec_vjp(name, d_x):
-        """Reverse of x - alpha * Cum (exclusive cumsum of the rows, from the
-        stream accumulator on), given d_x = dL/dx."""
-        if name not in mask:
+    def fast_term(name, d_x, q=None, d_q=None):
+        """Reverse of x - alpha * term for a masked tensor, given d_x = dL/dx.
+        A vector's term is the exclusive cumsum of its rows (from the stream
+        accumulator on); a matrix's is causal linear attention of queries q
+        over its slow keys and rows, whose query gradient adds into d_q."""
+        if name not in steps.mask:
             return
-        dalpha[name] = -float((d_x * cache.cum[name]).sum())
-        dcum = -alpha[name] * d_x
-        drows[hd.ROWS[name]] += reverse_exclusive_cumsum_rows(dcum)
-        ddelta[name] = dcum.sum(axis=0)
-
-    def mat_vjp(name, q, d_x, d_q):
-        """Reverse of x - alpha * Att (causal linear attention of queries q
-        over the slow keys and rows), given d_x = dL/dx; adds into d_q."""
-        if name not in mask:
-            return
-        dalpha[name] = -float((d_x * cache.att[name]).sum())
-        init = KVState(state[name]) if state is not None else None
-        dq, dk, dv, ddelta[name] = causal_linear_attention_vjp(
-            q, getattr(tape, hd.KEYS[name]), grads.rows(name), -alpha[name] * d_x,
-            init, chunk_size)
-        d_q += dq
-        dkeys[hd.KEYS[name]] = dk
+        d_term = -steps.alpha[name] * d_x
+        if name in hd.KEYS:
+            dalpha[name] = -float((d_x * cache.att[name]).sum())
+            init = KVState(state[name]) if state is not None else None
+            dq, dkeys[hd.KEYS[name]], dv, ddelta[name] = causal_linear_attention_vjp(
+                q, getattr(tape, hd.KEYS[name]), grads.rows(name), d_term, init, chunk_size)
+            d_q += dq
+        else:
+            dalpha[name] = -float((d_x * cache.cum[name]).sum())
+            dv = reverse_exclusive_cumsum_rows(d_term)
+            ddelta[name] = d_term.sum(axis=0)
         drows[hd.ROWS[name]] += dv
 
-    # ---- seed: d(w * sum CE) / d fast logits
+    # ---- fast pass: seed d(w * sum CE) / d fast logits, reverse its layers
     dLG_f = cache.probs.copy()
-    dLG_f[np.arange(T), targets] -= 1.0
+    dLG_f[np.arange(T), tape.targets] -= 1.0
     dLG_f *= w
-
-    # ---- output layer: logits' = u' E + c - a_E * Att_E - a_c * Cum_c
-    dhead["c"] += dLG_f.sum(axis=0)
-    dhead["E"] += cache.u.T @ dLG_f
-    du_f = dLG_f @ head.E.T
-    mat_vjp("E", cache.u, dLG_f, du_f)
-    vec_vjp("c", dLG_f)
-
-    # ---- LayerNorm with per-position gains: u' = gain' * xhat' + bias'
-    dP_f, dgain, dbias = layernorm_bwd((cache.xhat, cache.istd, cache.gain_rows), du_f)
-    dhead["ln_gain"] += dgain
-    dhead["ln_bias"] += dbias
-    vec_vjp("ln_gain", du_f * cache.xhat)
-    vec_vjp("ln_bias", du_f)
-
-    # ---- bias stage: p' = o' + b - a_b * Cum_b
-    dhead["b"] += dP_f.sum(axis=0)
-    vec_vjp("b", dP_f)
-
-    # ---- projection: o' = v' W - a_W * Att_W
-    dhead["W"] += cache.v.T @ dP_f
-    dV_f = dP_f @ head.W.T
-    mat_vjp("W", cache.v, dP_f, dV_f)
-
-    # ---- activation + first layer: z' = H U + a - a_U * Att_U - a_a * Cum_a
-    dZ_f = dV_f * cache.relu_mask
-    dhead["U"] += H.T @ dZ_f
-    dhead["a"] += dZ_f.sum(axis=0)
-    dH = dZ_f @ head.U.T
-    mat_vjp("U", H, dZ_f, dH)
-    vec_vjp("a", dZ_f)
+    dH = _head_reverse(head, cache, H, cache.gain_rows, dhead, dLG_f, fast_term)
     if "h" in dkeys:
         dH += dkeys["h"]  # U's keys are the same context vectors
 
@@ -288,32 +251,49 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     p = tape.probs
     dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
 
-    dH += _slow_forward_vjp(head, tape, dhead, dLG_s, dkeys.get("u", 0.0), dXH, dISTD,
-                            dkeys.get("v", 0.0), dZ_slow)
+    dH += _head_reverse(head, tape, tape.h, head.ln_gain, dhead, dLG_s,
+                        dUo=dkeys.get("u", 0.0), dXH=dXH, dISTD=dISTD,
+                        dVs=dkeys.get("v", 0.0), dZ=dZ_slow)
     return dhead, dalpha, ddelta, dH
 
 
-def _slow_forward_vjp(head: hd.HeadParams, tape, dhead, dLG, dUo, dXH, dISTD, dVs, dZ):
-    """Reverse of hd.slow_forward for gradients that landed on its activations:
-    the logits (dLG), LayerNorm output (dUo), normalised rows (dXH), inverse
-    std (dISTD), squared-ReLU output (dVs) and pre-activation (dZ). Any but
-    dLG may be 0.0. Adds into dhead and returns the gradient w.r.t. the
-    context vectors."""
+def _head_reverse(head: hd.HeadParams, acts, h, gain, dhead, dLG, tap=None,
+                  dUo=0.0, dXH=0.0, dISTD=0.0, dVs=0.0, dZ=0.0):
+    """Reverse of the head's layers (E/c, LayerNorm, b, W, squared ReLU, U/a)
+    over the pass whose activations are `acts` (the slow tape or a FastCache),
+    context vectors h and LayerNorm gain `gain`, for gradients on its logits
+    (dLG), LayerNorm output (dUo), normalised rows (dXH), inverse std
+    (dISTD), squared-ReLU output (dVs) and pre-activation (dZ). Adds each
+    tensor's slow gradient into dhead, calls tap(name, d_x) with d_x the
+    gradient on the tensor's output (a matrix adds q, its input, and d_q,
+    q's gradient, which tap may add into) and returns the gradient w.r.t. h."""
+    tap = tap or (lambda *args: None)
     dhead["c"] += dLG.sum(axis=0)
-    dhead["E"] += tape.u.T @ dLG
-    dUo = dUo + dLG @ head.E.T
-    dhead["ln_gain"] += (dUo * tape.xhat).sum(axis=0)
-    dhead["ln_bias"] += dUo.sum(axis=0)
+    dhead["E"] += acts.u.T @ dLG
+    dU = dUo + dLG @ head.E.T
+    tap("E", dLG, acts.u, dU)
+    tap("c", dLG)
+    dG = dU * acts.xhat
+    dhead["ln_gain"] += dG.sum(axis=0)
+    dhead["ln_bias"] += dU.sum(axis=0)
+    tap("ln_gain", dG)
+    tap("ln_bias", dU)
     # xhat's path (which also runs through istd) by the LayerNorm backward,
     # then istd's direct path: d istd / d pre_ln = -istd^2 * xhat / d
-    dPp, _, _ = layernorm_bwd((tape.xhat, tape.istd, 1.0), dXH + dUo * head.ln_gain)
-    dPp -= tape.xhat * (tape.istd ** 2 * dISTD / tape.xhat.shape[1])
-    dhead["b"] += dPp.sum(axis=0)
-    dhead["W"] += tape.v.T @ dPp
-    dZ = dZ + (dVs + dPp @ head.W.T) * tape.relu_mask
-    dhead["U"] += tape.h.T @ dZ
+    dP, _, _ = layernorm_bwd((acts.xhat, acts.istd, 1.0), dXH + dU * gain)
+    dP -= acts.xhat * (acts.istd ** 2 * dISTD / acts.xhat.shape[1])
+    dhead["b"] += dP.sum(axis=0)
+    tap("b", dP)
+    dhead["W"] += acts.v.T @ dP
+    dV = dVs + dP @ head.W.T
+    tap("W", dP, acts.v, dV)
+    dZ = dZ + dV * acts.relu_mask
+    dhead["U"] += h.T @ dZ
     dhead["a"] += dZ.sum(axis=0)
-    return dZ @ head.U.T
+    dH = dZ @ head.U.T
+    tap("U", dZ, h, dH)
+    tap("a", dZ)
+    return dH
 
 
 def head_slow_vjp(head: hd.HeadParams, tape, w: float):
@@ -323,7 +303,7 @@ def head_slow_vjp(head: hd.HeadParams, tape, w: float):
     dLG = tape.probs.copy()
     dLG[np.arange(T), tape.targets] -= 1.0
     dLG *= w
-    return dhead, _slow_forward_vjp(head, tape, dhead, dLG, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return dhead, _head_reverse(head, tape, tape.h, head.ln_gain, dhead, dLG)
 
 
 @dataclass

@@ -75,7 +75,8 @@ def test_generate_deterministic(workdir, capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("flag, value", [("--n-tokens", "-1"), ("--temperature", "-1")])
+@pytest.mark.parametrize("flag, value", [("--n-tokens", "-1"), ("--temperature", "-1"),
+                                         ("--temperature", "nan"), ("--seed", "-1")])
 def test_bad_generate_argument_is_config_error(workdir, capsys, flag, value):
     rc = main(["generate", "--ckpt", str(workdir / "run" / "final.ckpt"),
                "--prompt", "belardan saw", flag, value])
@@ -83,6 +84,32 @@ def test_bad_generate_argument_is_config_error(workdir, capsys, flag, value):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+def test_subnormal_temperature_samples_the_argmax(workdir, capsys):
+    # was NaN probabilities; every logit but the largest overflows to -inf
+    outs = []
+    for temperature in ("1e-320", "0"):
+        rc = main(["generate", "--ckpt", str(workdir / "run" / "final.ckpt"),
+                   "--prompt", "saw", "--n-tokens", "6", "--temperature", temperature])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(temperature=st.floats(), seed=st.integers(), n_tokens=st.integers(-2, 4))
+def test_fuzzed_generate_exits_zero_or_one(workdir, capsys, temperature, seed, n_tokens):
+    # "--flag=value", so that argparse reads "-inf" or "-1e-05" as a value
+    rc = main(["generate", "--ckpt", str(workdir / "run" / "final.ckpt"), "--prompt", "saw",
+               f"--temperature={temperature!r}", f"--seed={seed}", f"--n-tokens={n_tokens}"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("variant", ["test-time-only", "bias-only"])
@@ -128,6 +155,23 @@ def test_verify_exit_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS  generation/scoring consistency" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--seed", "-1"],
+    ["verify", "--instances", "0"],   # printed PASS over 0 instances
+    ["bench", "--max-docs", "0"],     # benched every document
+    ["bench", "--max-docs", "-1"],    # dropped the last document
+], ids=["verify-seed", "verify-instances", "bench-max-docs-0", "bench-max-docs-negative"])
+def test_bad_verify_or_bench_argument_is_config_error(workdir, capsys, args):
+    if args[0] == "bench":
+        args = args + ["--ckpt", str(workdir / "run" / "final.ckpt"),
+                       "--corpus", str(workdir / "dev.txt")]
+    rc = main(args)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_missing_corpus_is_io_error(workdir, capsys):
@@ -264,10 +308,11 @@ def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
     '{"train": {"weight_decay": -1e-3}}',
     '{"train": {"learning_rate": NaN}}',   # Python's json reads NaN
     '{"train": {"seed": -1}}',             # was a ValueError from numpy's rng
+    '{"model": {"vocab_size": 999}}',      # the corpus sets it; score refused the model
 ], ids=["unknown-train-key", "malformed-json", "unknown-model-key", "not-an-object",
         "str-learning-rate", "str-d-model", "int-mask", "eval-every-0", "beta1-1",
         "beta2-negative", "eps-0", "weight-decay-negative", "nan-learning-rate",
-        "negative-seed"])
+        "negative-seed", "vocab-size"])
 def test_bad_train_config_is_config_error(workdir, tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)

@@ -235,6 +235,12 @@ def test_generate_step_temperature_zero_tie_break():
     assert hd.sample_token(logits, 0.0, np.random.default_rng(0)) == 0
 
 
+def test_tiny_temperature_samples_among_the_argmax_ties():
+    logits = np.array([1.0, 3.0, 3.0, 0.0])
+    rng = np.random.default_rng(0)
+    assert {hd.sample_token(logits, 1e-320, rng) for _ in range(40)} == {1, 2}
+
+
 def test_generation_scoring_consistency():
     # teacher-forcing the sampled tokens reproduces the generator's losses
     head, steps, H, _ = make_instance(16, T=10, d=5, m=4, vocab=6)

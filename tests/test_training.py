@@ -118,6 +118,28 @@ def test_streaming_gamma_gradient_is_nonzero():
     assert gnorm > 0
 
 
+@pytest.mark.parametrize("T, d, m, vocab, w", [(1, 4, 3, 5, 1.0), (7, 8, 6, 11, 0.25),
+                                               (33, 16, 12, 9, 1 / 33)])
+def test_empty_mask_fast_vjp_is_the_slow_vjp(T, d, m, vocab, w):
+    # with no fast tensors the fast pass is the slow one, and so is its reverse
+    rng = np.random.default_rng(T)
+    head = hd.init_head(d, m, vocab, seed=T)
+    for _, t in head.named():
+        t += 0.3 * rng.normal(size=t.shape)
+    H = rng.normal(size=(T, d))
+    tape, _ = hd.slow_forward(head, H, rng.integers(0, vocab, size=T))
+    steps = hd.StepSizes({}, ())
+    grads = hd.per_position_grads(head, tape)
+    fast = hd.fast_forward(head, steps, H, tape, grads, chunk_size=4)
+    dhead, dalpha, ddelta, dH = tr.head_fast_vjp(head, steps, H, tape, grads, fast,
+                                                 None, 4, w)
+    dhead_slow, dH_slow = tr.head_slow_vjp(head, tape, w)
+    assert dalpha == {} and ddelta == {}
+    for name in hd.TENSOR_NAMES:
+        assert np.array_equal(dhead[name], dhead_slow[name]), name
+    assert np.array_equal(dH, dH_slow)
+
+
 def test_alpha_gradient_present_only_for_masked_tensors():
     model = tiny_model(mask=("W",), seed=14)
     batch = tiny_batch(model, T=8, seed=15)
