@@ -181,46 +181,76 @@ def _merge_heads(xh):
     return xh.transpose(1, 0, 2).reshape(T, h * hd)
 
 
+_BLOCK = 32  # query rows per attention block
+_FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)  # a block's keys after its query
+
+
 def _attention(lp: LayerParams, x, mem, cfg):
-    """Pre-norm causal attention over [mem; x]. Returns (out, cache)."""
+    """Pre-norm causal attention over [mem; x]. Returns (out, cache).
+
+    Queries run in blocks of _BLOCK rows; a block whose rows end at i1 is
+    scored against keys [:M + i1] only, so the masked half of the (h, T, M+T)
+    scores is neither computed nor held. Only each block's diagonal corner
+    needs the mask, and each block's softmax sees all of its keys.
+    """
     M = mem.shape[0]
     xm = np.vstack([mem, x]) if M else x
     y, ln_cache = layernorm_fwd(xm, lp.ln1_g, lp.ln1_b)
     T = x.shape[0]
     hd = cfg.d_model // cfg.n_heads
     q = y[M:] @ lp.wq + lp.bq
-    q /= np.sqrt(hd)  # scale the (T, d) queries, not the (h, T, M+T) scores
+    q /= np.sqrt(hd)  # scale the (T, d) queries, not the scores
     k = y @ lp.wk + lp.bk
     v = y @ lp.wv + lp.bv
     qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
-    w = qh @ kh.transpose(0, 2, 1)
-    # query t may see memory plus current positions <= t
-    future = np.arange(M + T) > np.arange(M, M + T)[:, None]
-    np.copyto(w, -np.inf, where=future)
-    w -= w.max(axis=2, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=2, keepdims=True)
-    ctx = _merge_heads(w @ vh)
+    ctx = np.empty((T, cfg.d_model))
+    ctxh, ws = _split_heads(ctx, cfg.n_heads), []
+    for i0 in range(0, T, _BLOCK):
+        i1 = min(i0 + _BLOCK, T)
+        n, e = i1 - i0, M + i1
+        w = qh[:, i0:i1] @ kh[:, :e].transpose(0, 2, 1)
+        np.copyto(w[:, :, e - n:], -np.inf, where=_FUTURE[:n, :n])
+        w -= w.max(axis=2, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=2, keepdims=True)
+        np.matmul(w, vh[:, :e], out=ctxh[:, i0:i1])
+        ws.append(w)
     out = ctx @ lp.wo + lp.bo
-    cache = (y, ln_cache, qh, kh, vh, w, ctx, M)
+    cache = (y, ln_cache, qh, kh, vh, ws, ctx, M)
     return out, cache
 
 
 def _attention_bwd(lp: LayerParams, cfg, cache, dout):
-    """Gradients of _attention; the memory rows receive none."""
-    y, ln_cache, qh, kh, vh, w, ctx, M = cache
+    """Gradients of _attention; the memory rows receive none.
+
+    Walks the query blocks last-first: the last block sees every key, so its
+    products assign dk and dv, and each earlier block adds into their prefix.
+    """
+    y, ln_cache, qh, kh, vh, ws, ctx, M = cache
     hd = cfg.d_model // cfg.n_heads
     grads = {}
     grads["wo"] = ctx.T @ dout
     grads["bo"] = dout.sum(axis=0)
     dctxh = _split_heads(dout @ lp.wo.T, cfg.n_heads)
-    dvh = w.transpose(0, 2, 1) @ dctxh
-    ds = dctxh @ vh.transpose(0, 2, 1)  # gradient of w, then through the softmax
-    ds -= (w * ds).sum(axis=2, keepdims=True)
-    ds *= w
-    dq = _merge_heads(ds @ kh)
+    dq = np.empty_like(ctx)
+    dqh = _split_heads(dq, cfg.n_heads)
+    for b in range(len(ws) - 1, -1, -1):
+        w, i0 = ws[b], b * _BLOCK
+        i1, e = i0 + w.shape[1], w.shape[2]  # e = M + i1 keys
+        dc = dctxh[:, i0:i1]
+        ds = dc @ vh[:, :e].transpose(0, 2, 1)  # gradient of w, then through the softmax
+        ds -= (w * ds).sum(axis=2, keepdims=True)
+        ds *= w
+        np.matmul(ds, kh[:, :e], out=dqh[:, i0:i1])
+        dvb = w.transpose(0, 2, 1) @ dc
+        dkb = ds.transpose(0, 2, 1) @ qh[:, i0:i1]
+        if b == len(ws) - 1:
+            dvh, dkh = dvb, dkb
+        else:
+            dvh[:, :e] += dvb
+            dkh[:, :e] += dkb
     dq /= np.sqrt(hd)
-    dk = _merge_heads(ds.transpose(0, 2, 1) @ qh)
+    dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
     grads["wq"] = y[M:].T @ dq
     grads["bq"] = dq.sum(axis=0)

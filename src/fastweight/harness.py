@@ -103,10 +103,13 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
     segment, with a StreamCarry threading segment memory across them when the
     model has it. So a zero step size is score(baseline, chunk_len), and is
     computed as that. Weights reset per document; every document owns its
-    private copy.
+    private copy. A step that overflows the weights scores as a non-finite
+    perplexity, not as numpy warnings (the CLI turns it into exit 3).
     """
     if chunk_len < 1:
         raise ConfigError(f"chunk_len must be >= 1, got {chunk_len}")
+    if not np.isfinite(step_size):
+        raise ConfigError(f"step_size must be finite, got {step_size}")
     _check_tokenizer(ckpt, corpus)
     base = ckpt.model
     seq_len = min(chunk_len, base.config.backbone.max_seq_len)
@@ -114,18 +117,19 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
         return score(ckpt, corpus, "baseline", seq_len=seq_len)
     nll_docs = []
     t0 = time.perf_counter()
-    for doc in corpus.documents:
-        model = base.copy()
-        carry = StreamCarry.fresh(model, ())
-        nlls = []
-        for tokens, targets in doc_segments(doc, seq_len):
-            res = sequence_loss_and_grads(model, tokens, targets, "slow-only", carry,
-                                          w=1.0 / len(targets))
-            nlls.append(res.losses)
-            carry = res.carry
-            for key, g in res.grads.items():
-                model.set(key, model.get(key) - step_size * g)
-        nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
+    with np.errstate(all="ignore"):
+        for doc in corpus.documents:
+            model = base.copy()
+            carry = StreamCarry.fresh(model, ())
+            nlls = []
+            for tokens, targets in doc_segments(doc, seq_len):
+                res = sequence_loss_and_grads(model, tokens, targets, "slow-only", carry,
+                                              w=1.0 / len(targets))
+                nlls.append(res.losses)
+                carry = res.carry
+                for key, g in res.grads.items():
+                    model.set(key, model.get(key) - step_size * g)
+            nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
     return _score_result(nll_docs, time.perf_counter() - t0)
 
 

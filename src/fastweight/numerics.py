@@ -99,23 +99,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_xent(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """loss = -log softmax(logits)[target]; dlogits = softmax - onehot.
-
-    Computed as logsumexp(logits) - logits[target] so the loss stays finite
-    even when the target probability underflows.
-    """
-    logits = as_f64(logits)
-    if not 0 <= target < logits.shape[-1]:
-        raise IndexError(f"target {target} out of range for {logits.shape[-1]} logits")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    loss = lse - logits[target]
-    d = softmax(logits)
-    d[target] -= 1.0
-    return float(loss), d
-
-
 def softmax_xent_rows(logits: np.ndarray, targets: np.ndarray):
     """Row-wise cross entropy. logits (T, V), targets (T,) ints.
 

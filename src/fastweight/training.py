@@ -512,41 +512,6 @@ def train_step(model: Model, batch, config: TrainConfig, opt_state: dict | None 
     return metrics, opt_state, new_carries
 
 
-def directional_derivative_check(model: Model, batch, config: TrainConfig,
-                                 n_directions: int = 4, eps: float = 1e-5,
-                                 seed: int = 0,
-                                 carries: list[StreamCarry] | None = None) -> float:
-    """Max relative error between analytic directional derivatives of the
-    objective and central finite differences, over random directions in the
-    full trainable-parameter space. Stream carries are held constant."""
-    rng = np.random.default_rng(seed)
-    loss0, grads, _ = batch_loss_and_grads(model, batch, config, carries)
-    keys = [k for k, _ in model.named_params()]
-    worst = 0.0
-    for _ in range(n_directions):
-        direction = {k: rng.normal(size=np.shape(model.get(k))) for k in keys}
-        scale = np.sqrt(sum(float((d ** 2).sum()) for d in direction.values()))
-        direction = {k: d / scale for k, d in direction.items()}
-        analytic = sum(float((np.asarray(grads.get(k, 0.0)) * direction[k]).sum())
-                       for k in keys)
-
-        saved = {k: np.array(model.get(k)) for k in keys}
-
-        def value(sign):
-            for k in keys:
-                model.set(k, saved[k] + sign * eps * direction[k])
-            loss, _, _ = batch_loss_and_grads(model, batch, config, carries)
-            return loss
-
-        hi, lo = value(+1.0), value(-1.0)
-        for k in keys:
-            model.set(k, saved[k])
-        fd = (hi - lo) / (2 * eps)
-        denom = max(abs(fd), abs(analytic), 1e-10)
-        worst = max(worst, abs(analytic - fd) / denom)
-    return worst
-
-
 def doc_segments(doc: np.ndarray, seq_len: int):
     """(tokens, targets) segments of at most seq_len positions covering the
     predictions 1..len(doc)-1 of one document, in order."""
@@ -623,6 +588,9 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
     from .checkpoint import load_checkpoint, save_checkpoint
 
     config.validate()
+    if config.seq_len > model_config.backbone.max_seq_len:
+        raise ConfigError(f"seq_len {config.seq_len} exceeds max_seq_len "
+                          f"{model_config.backbone.max_seq_len}")
     if dev_corpus is None:
         n_dev = max(1, len(corpus.documents) // 20)
         dev_docs = corpus.documents[-n_dev:]

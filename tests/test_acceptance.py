@@ -18,6 +18,7 @@ from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
+from reference_tools import directional_derivative_check
 
 
 def report(name, detail):
@@ -140,15 +141,15 @@ def test_criterion_4_second_order_gradient_check():
     batch = [(toks[:-1], toks[1:])]
     cfg = tr.TrainConfig(mode="full")
 
-    err_plain = tr.directional_derivative_check(model, batch, cfg, n_directions=4, seed=2)
+    err_plain = directional_derivative_check(model, batch, cfg, n_directions=4, seed=2)
 
     # streaming: carry a real state from a previous segment, held constant
     warm = tr.sequence_loss_and_grads(model, toks[:-1], toks[1:], "full",
                                       carry=tr.StreamCarry.fresh(model))
     carry = warm.carry
     assert any(np.abs(v).sum() > 0 for v in carry.pending.values())
-    err_stream = tr.directional_derivative_check(model, batch, cfg, n_directions=4,
-                                                 seed=3, carries=[carry])
+    err_stream = directional_derivative_check(model, batch, cfg, n_directions=4,
+                                              seed=3, carries=[carry])
 
     # gradient through the stream accumulators is exactly zero: the gamma
     # path is the one-level decay product, nothing flows into the carried sums

@@ -102,12 +102,17 @@ def _encode_loop_reference(params, tokens, mems):
     return _ln_ref(x, params.lnf_g, params.lnf_b)
 
 
-@pytest.mark.parametrize("memory_len", [0, 5])
-def test_encode_matches_per_head_loop_reference(memory_len):
-    params = bb.init_backbone(tiny_config(memory_len=memory_len))
+@pytest.mark.parametrize("memory_len,max_seq_len,sizes", [
+    pytest.param(0, 32, (7, 9), id="0"), pytest.param(5, 32, (7, 9), id="5"),
+    # T 70 is three 32-row query blocks, the last one partial; memory 45 is
+    # not a multiple of the block size either
+    pytest.param(0, 96, (96, 70), id="multi-block-0"),
+    pytest.param(45, 96, (96, 70), id="multi-block-45")])
+def test_encode_matches_per_head_loop_reference(memory_len, max_seq_len, sizes):
+    params = bb.init_backbone(tiny_config(memory_len=memory_len, max_seq_len=max_seq_len))
     rng = np.random.default_rng(7)
-    seg1 = rng.integers(0, 11, size=7)
-    seg2 = rng.integers(0, 11, size=9)
+    seg1 = rng.integers(0, 11, size=sizes[0])
+    seg2 = rng.integers(0, 11, size=sizes[1])
     if memory_len:
         _, _, memory = bb.encode_with_cache(params, seg1, bb.SegmentMemory.empty(params.cfg))
         assert all(m.shape[0] == memory_len for m in memory.activations)
@@ -118,6 +123,55 @@ def test_encode_matches_per_head_loop_reference(memory_len):
     H, _, _ = bb.encode_with_cache(params, seg2, memory)
     want = _encode_loop_reference(params, seg2, mems)
     assert np.max(np.abs(H - want)) <= 1e-12
+
+
+def _memory_of(params, rng):
+    """A full SegmentMemory of the config's memory_len, or None without one."""
+    cfg = params.cfg
+    if not cfg.memory_len:
+        return None
+    tokens = rng.integers(0, cfg.vocab_size, size=cfg.max_seq_len)
+    _, _, memory = bb.encode_with_cache(params, tokens)
+    assert all(m.shape[0] == cfg.memory_len for m in memory.activations)
+    return memory
+
+
+@pytest.mark.parametrize("memory_len", [0, 45])
+def test_attention_cache_holds_only_the_causal_blocks(memory_len):
+    params = bb.init_backbone(tiny_config(memory_len=memory_len, max_seq_len=96))
+    rng = np.random.default_rng(9)
+    memory = _memory_of(params, rng)
+    T, M, h = 70, memory_len, params.cfg.n_heads
+    _, cache, _ = bb.encode_with_cache(params, rng.integers(0, 11, size=T), memory)
+    # each 32-row query block holds weights over the keys up to its last row
+    want = sum(h * (min(i0 + 32, T) - i0) * (M + min(i0 + 32, T)) for i0 in range(0, T, 32))
+    assert want < h * T * (M + T)
+    for a_cache, _ in cache[1]:
+        assert sum(w.size for w in a_cache[5]) == want
+
+
+def test_multi_block_gradients_match_directional_finite_difference():
+    params = bb.init_backbone(tiny_config(memory_len=45, max_seq_len=96))
+    rng = np.random.default_rng(10)
+    memory = _memory_of(params, rng)
+    tokens = rng.integers(0, 11, size=70)
+    R = rng.normal(size=(70, 16))
+    _, cache, _ = bb.encode_with_cache(params, tokens, memory)
+    grads = bb.encode_backward(params, cache, R)
+
+    keys = [k for k, _ in params.named()]
+    direction = {k: rng.normal(size=params.get(k).shape) for k in keys}
+    analytic = sum(float((grads[k] * direction[k]).sum()) for k in keys)
+    eps = 1e-6
+
+    def value(sign):
+        trial = params.copy()
+        for k in keys:
+            trial.set(k, params.get(k) + sign * eps * direction[k])
+        return float((bb.encode_with_cache(trial, tokens, memory)[0] * R).sum())
+
+    fd = (value(+1) - value(-1)) / (2 * eps)
+    assert abs(analytic - fd) / (abs(fd) + 1e-12) < 1e-4
 
 
 @pytest.mark.parametrize("memory_len", [0, 3])
@@ -139,18 +193,21 @@ def test_forward_only_encode_is_bit_equal_to_the_cached_walk(memory_len):
             assert memory is None and want_memory is None
 
 
-@pytest.mark.parametrize("memory_len", [0, 5])
-def test_encode_next_matches_encode_with_cache_rows(memory_len):
-    # a segment encoded as a 3-token prefix and then one position at a time
-    # gives encode_with_cache's rows of the whole segment, and its memory
-    params = bb.init_backbone(tiny_config(memory_len=memory_len, max_seq_len=12))
+@pytest.mark.parametrize("memory_len,max_seq_len,prefix", [
+    pytest.param(0, 12, 3, id="0"), pytest.param(5, 12, 3, id="5"),
+    # a two-block prefix, stepped on across the third block's start
+    pytest.param(0, 96, 40, id="multi-block-0"), pytest.param(45, 96, 40, id="multi-block-45")])
+def test_encode_next_matches_encode_with_cache_rows(memory_len, max_seq_len, prefix):
+    # a segment encoded as a prefix and then one position at a time gives
+    # encode_with_cache's rows of the whole segment, and its memory
+    params = bb.init_backbone(tiny_config(memory_len=memory_len, max_seq_len=max_seq_len))
     rng = np.random.default_rng(3)
-    _, _, memory = bb.encode_with_cache(params, rng.integers(0, 11, size=12))
-    seg = rng.integers(0, 11, size=12)
+    _, _, memory = bb.encode_with_cache(params, rng.integers(0, 11, size=max_seq_len))
+    seg = rng.integers(0, 11, size=max_seq_len)
     H, _, want_memory = bb.encode_with_cache(params, seg, memory)
-    rows, cache, memory = bb.encode_with_cache(params, seg[:3], memory)
+    rows, cache, memory = bb.encode_with_cache(params, seg[:prefix], memory)
     kv, rows = bb.attention_kv(cache), list(rows)
-    for pos in range(3, 12):
+    for pos in range(prefix, max_seq_len):
         h, kv, memory = bb.encode_next(params, int(seg[pos]), pos, kv, memory)
         rows.append(h)
     assert np.max(np.abs(np.array(rows) - H)) <= 1e-12
@@ -160,7 +217,7 @@ def test_encode_next_matches_encode_with_cache_rows(memory_len):
     else:
         assert memory is None
     with pytest.raises(InputError):
-        bb.encode_next(params, 0, 12, kv, memory)  # past max_seq_len
+        bb.encode_next(params, 0, max_seq_len, kv, memory)  # past max_seq_len
 
 
 def test_encode_causality_bit_exact():

