@@ -32,8 +32,9 @@ def train(mode, mask=head.MASK_ALL, steps=500):
                                    n_layers=2, n_heads=4, d_ff=256,
                                    max_seq_len=128, seed=0),
         d_hidden=64, chunk_size=32, mask=mask)
-    cfg = tr.TrainConfig(mode=mode, batch_size=8, seq_len=96, total_steps=steps,
-                         learning_rate=3e-3, warmup_steps=50,
+    # train on every position that scoring reads
+    cfg = tr.TrainConfig(mode=mode, batch_size=8, seq_len=mcfg.backbone.max_seq_len,
+                         total_steps=steps, learning_rate=3e-3, warmup_steps=50,
                          eval_every=steps, seed=0)
     t0 = time.perf_counter()
     res = tr.fit(corpus, cfg, mcfg, dev_corpus=dev)

@@ -23,8 +23,9 @@ mcfg = tr.ModelConfig(
                                n_layers=2, n_heads=4, d_ff=256,
                                max_seq_len=128, seed=2),
     d_hidden=64, chunk_size=32)
-cfg = tr.TrainConfig(mode="full", batch_size=8, seq_len=96, total_steps=500,
-                     learning_rate=3e-3, warmup_steps=50, eval_every=500, seed=2)
+cfg = tr.TrainConfig(mode="full", batch_size=8, seq_len=mcfg.backbone.max_seq_len,
+                     total_steps=500, learning_rate=3e-3, warmup_steps=50,
+                     eval_every=500, seed=2)
 res = tr.fit(corpus, cfg, mcfg, dev_corpus=dev)
 ckpt = CheckpointData(res.model, cfg, corpus.tokenizer, None, cfg.total_steps)
 

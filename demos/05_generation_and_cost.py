@@ -24,8 +24,9 @@ mcfg = tr.ModelConfig(
                                n_layers=2, n_heads=4, d_ff=192,
                                max_seq_len=96, seed=4),
     d_hidden=48, chunk_size=32)
-cfg = tr.TrainConfig(mode="full", batch_size=8, seq_len=80, total_steps=300,
-                     learning_rate=3e-3, warmup_steps=40, eval_every=300, seed=4)
+cfg = tr.TrainConfig(mode="full", batch_size=8, seq_len=mcfg.backbone.max_seq_len,
+                     total_steps=300, learning_rate=3e-3, warmup_steps=40,
+                     eval_every=300, seed=4)
 res = tr.fit(corpus, cfg, mcfg)
 ckpt = CheckpointData(res.model, cfg, corpus.tokenizer, None, cfg.total_steps)
 

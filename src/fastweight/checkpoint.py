@@ -70,25 +70,11 @@ def _read_tensor(r: _Reader):
     return name, arr
 
 
-def model_config_to_dict(mc: ModelConfig) -> dict:
-    d = dataclasses.asdict(mc)
-    d["mask"] = list(mc.mask)
-    return d
-
-
-def model_config_from_dict(d: dict) -> ModelConfig:
-    bcfg = bb.BackboneConfig(**d["backbone"])
-    return ModelConfig(backbone=bcfg, d_hidden=d["d_hidden"],
-                       mask=tuple(d["mask"]), chunk_size=d["chunk_size"],
-                       alpha_init=d.get("alpha_init", 0.01),
-                       gamma_init=d.get("gamma_init", 0.9))
-
-
 def save_checkpoint(path, model: Model, train_config: TrainConfig | None,
                     opt_state: dict | None, step: int,
                     tokenizer: TokenizerSpec | None):
     meta = {
-        "model_config": model_config_to_dict(model.config),
+        "model_config": dataclasses.asdict(model.config),
         "train_config": dataclasses.asdict(train_config) if train_config else None,
         "tokenizer": ({"mode": tokenizer.mode, "vocab": tokenizer.vocab}
                       if tokenizer else None),
@@ -180,8 +166,9 @@ def load_checkpoint(path) -> CheckpointData:
 
 
 def _from_metadata(path, meta: dict, tensors: dict) -> CheckpointData:
-    mc = model_config_from_dict(meta["model_config"])
-    model = init_model(mc)
+    mc = meta["model_config"]
+    model = init_model(ModelConfig(**dict(mc, backbone=bb.BackboneConfig(**mc["backbone"]),
+                                          mask=tuple(mc["mask"]))))
     for key, want in list(model.named_params()):
         if key not in tensors:
             raise ConfigError(f"{path} has no tensor {key!r} for its model_config")
@@ -190,10 +177,11 @@ def _from_metadata(path, meta: dict, tensors: dict) -> CheckpointData:
                               f"its model_config needs {want.shape}")
         model.set(key, tensors[key])
     for n in TENSOR_NAMES:
-        if f"alpha.{n}" in tensors:
-            model.alpha[n] = np.asarray(tensors[f"alpha.{n}"], dtype=np.float64)
-        if f"gamma.{n}" in tensors:
-            model.gamma_raw[n] = np.asarray(tensors[f"gamma.{n}"], dtype=np.float64)
+        for kind, values in (("alpha", model.alpha), ("gamma", model.gamma_raw)):
+            values[n] = tensors.get(f"{kind}.{n}", values[n])
+            if values[n].ndim:
+                raise ConfigError(f"{path}: tensor '{kind}.{n}' has shape "
+                                  f"{values[n].shape}, not the scalar () it needs")
 
     train_config = None
     if meta.get("train_config"):

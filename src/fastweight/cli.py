@@ -171,6 +171,8 @@ def cmd_train(args) -> int:
         else:
             setattr(mcfg, k, v)
     mcfg.validate()
+    if "seq_len" not in tcfg_kwargs:  # train on every position that scoring reads
+        tcfg.seq_len = mcfg.backbone.max_seq_len
     res = tr.fit(corpus, tcfg, mcfg, dev_corpus=dev, out_dir=args.out,
                  resume_from=args.resume, quiet=False)
     print(f"best dev ppl {np.exp(res.best_dev_nll):.4f}; "

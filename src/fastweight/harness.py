@@ -40,6 +40,8 @@ def _variant_steps(model: Model, variant: str, global_step) -> hd.StepSizes:
     if variant == "test-time-only":
         if global_step is None:
             raise ConfigError("test-time-only scoring needs a global step size")
+        if not np.isfinite(global_step):
+            raise ConfigError(f"global step must be finite, got {global_step}")
         return hd.StepSizes.uniform(float(global_step), hd.MASK_ALL)
     if variant == "bias-only":
         return hd.StepSizes({"c": float(model.alpha["c"])}, hd.MASK_BIAS_ONLY)
@@ -66,14 +68,16 @@ def _score_result(nll_docs: list[np.ndarray], wall: float) -> ScoreResult:
 def score(ckpt: CheckpointData, corpus: Corpus, variant: str = "baseline",
           global_step: float | None = None, seq_len: int | None = None) -> ScoreResult:
     """Teacher-forced perplexity. Fast state resets at document boundaries;
-    documents longer than the window are scored as threaded segments."""
+    documents longer than the window are scored as threaded segments. A step
+    that overflows gives a non-finite perplexity, not numpy warnings."""
     _check_tokenizer(ckpt, corpus)
     model = ckpt.model
     seq_len = seq_len or model.config.backbone.max_seq_len
     steps = _variant_steps(model, variant, global_step)
     t0 = time.perf_counter()
-    nll_docs = score_streams(
-        model, [list(doc_segments(doc, seq_len)) for doc in corpus.documents], steps)
+    with np.errstate(all="ignore"):
+        nll_docs = score_streams(
+            model, [list(doc_segments(doc, seq_len)) for doc in corpus.documents], steps)
     return _score_result(nll_docs, time.perf_counter() - t0)
 
 

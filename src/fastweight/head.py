@@ -121,7 +121,8 @@ class StepSizes:
 
 @dataclass
 class PositionTape:
-    """Slow-pass activations, one row per position."""
+    """One pass of the head's layers, one row per position. A fast pass's tape
+    holds the slow tape's own arrays for the layers it reused."""
 
     h: np.ndarray          # (T, d)
     targets: np.ndarray    # (T,) int
@@ -135,6 +136,9 @@ class PositionTape:
     logits: np.ndarray     # (T, V)
     probs: np.ndarray      # (T, V)
     losses: np.ndarray     # (T,)
+    gain: np.ndarray       # (d,) LayerNorm gain, or (T, d) rows when ln_gain is fast
+    att: dict[str, np.ndarray]  # fast matrix terms (linear attention, incl. stream init)
+    cum: dict[str, np.ndarray]  # fast vector terms (cumulative rows, incl. stream acc)
 
 
 @dataclass
@@ -166,6 +170,38 @@ def _check_state(state: dict[str, np.ndarray], head: HeadParams, mask) -> None:
             raise StateError(f"stream accumulator {name!r} has shape {got}, expected {want}")
 
 
+def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
+            minus=lambda x, q, *names: x, mask=frozenset(), att=None,
+            cum=None) -> PositionTape:
+    """The head's layers in order: U/a, squared ReLU, W/b, LayerNorm, E/c.
+
+    Without `slow` this is the slow pass. With it, a fast pass over the slow
+    tape `slow`: minus(x, q, *names) subtracts from x the fast terms of the
+    masked tensors in names (q: a matrix's queries), filling att and cum, and
+    a layer is recomputed only if a tensor at or below it is in `mask`.
+    """
+    new = slow is None
+    if new or mask & {"U", "a"}:
+        z = minus(H @ head.U + head.a if new else slow.z, H, "U", "a")
+        v, relu_mask = relu2(z)
+    else:
+        z, v, relu_mask = slow.z, slow.v, slow.relu_mask
+    gain = minus(head.ln_gain, None, "ln_gain")
+    if new or mask - {"E", "c"}:
+        o = minus(v @ head.W, v, "W") if new or mask & {"U", "a", "W"} else slow.o
+        u, (xhat, istd, _) = layernorm_fwd(minus(o + head.b, None, "b"), gain,
+                                           minus(head.ln_bias, None, "ln_bias"))
+    else:
+        o, xhat, istd, u = slow.o, slow.xhat, slow.istd, slow.u
+    if new or mask:
+        logits = minus(u @ head.E + head.c, u, "E", "c")
+        losses, probs = softmax_xent_rows(logits, targets)
+    else:
+        logits, probs, losses = slow.logits, slow.probs, slow.losses
+    return PositionTape(H, targets, z, v, relu_mask, o, xhat, istd, u, logits, probs,
+                        losses, gain, att or {}, cum or {})
+
+
 def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape, np.ndarray]:
     """First pass with slow weights; targets[t] is the token predicted at t."""
     H = as_f64(H)
@@ -174,15 +210,8 @@ def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape
         raise ShapeError(f"H {H.shape} does not match head d_model {head.d_model}")
     if targets.shape != (H.shape[0],):
         raise ShapeError(f"targets {targets.shape} do not match {H.shape[0]} positions")
-    z = H @ head.U + head.a
-    v, relu_mask = relu2(z)
-    o = v @ head.W
-    u, (xhat, istd, _) = layernorm_fwd(o + head.b, head.ln_gain, head.ln_bias)
-    logits = u @ head.E + head.c
-    losses, probs = softmax_xent_rows(logits, targets)
-    tape = PositionTape(H, targets, z, v, relu_mask, o, xhat, istd,
-                        u, logits, probs, losses)
-    return tape, losses
+    tape = _layers(head, H, targets)
+    return tape, tape.losses
 
 
 def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:
@@ -202,39 +231,15 @@ def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:
     return PositionGrads(g_logits, g_u, g_o, g_z, g_ln_gain)
 
 
-@dataclass
-class FastCache:
-    """Fast-pass intermediates read by the training backward (references,
-    not copies)."""
-
-    att: dict[str, np.ndarray]      # linear-attention terms, incl. stream init
-    cum: dict[str, np.ndarray]      # cumulative vector terms, incl. stream acc
-    relu_mask: np.ndarray
-    v: np.ndarray
-    xhat: np.ndarray
-    istd: np.ndarray
-    gain_rows: np.ndarray           # (T, d) per-position gain; may be a broadcast view
-    u: np.ndarray
-    probs: np.ndarray
-
-
-@dataclass
-class FastResult:
-    losses: np.ndarray
-    logits: np.ndarray
-    cache: FastCache
-
-
 def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
                  tape: PositionTape, grads: PositionGrads,
                  state: dict[str, np.ndarray] | None = None,
-                 chunk_size: int = 64) -> FastResult:
-    """Second pass with evolving fast weights, computed in parallel.
-
-    Layers are recomposed in order (U/a, squared ReLU, W/b, LayerNorm, E/c) so
-    each matrix term's queries come from fast activations while keys and
-    values come from the slow pass. With an empty mask this returns the slow
-    losses unchanged; with all step sizes zero it matches them exactly.
+                 chunk_size: int = 64) -> PositionTape:
+    """Second pass with evolving fast weights, computed in parallel: the slow
+    pass's layers (_layers) with each matrix term's queries taken from fast
+    activations while keys and values come from the slow tape `tape`. Returns
+    the fast pass's tape. With an empty mask its losses are the slow losses;
+    with all step sizes zero it matches them exactly.
     `state` is the fast state carried in from earlier segments (see
     update_stream_state), a constant under differentiation.
     """
@@ -269,28 +274,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
             x = np.subtract(x, steps.alpha[name] * term, out=None if x is x_in else x)
         return x
 
-    # a layer is recomputed only if a tensor at or below it is fast
-    if mask & {"U", "a"}:
-        v, relu_mask = relu2(minus_fast(tape.z, H, "U", "a"))
-    else:
-        v, relu_mask = tape.v, tape.relu_mask
-    T, d = tape.u.shape
-    gain_rows = minus_fast(np.broadcast_to(head.ln_gain, (T, d)), None, "ln_gain")
-    if mask - {"E", "c"}:
-        o = minus_fast(v @ head.W, v, "W") if mask & {"U", "a", "W"} else tape.o
-        bias_rows = minus_fast(np.broadcast_to(head.ln_bias, (T, d)), None, "ln_bias")
-        u, (xhat, istd, _) = layernorm_fwd(minus_fast(o + head.b, None, "b"),
-                                           gain_rows, bias_rows)
-    else:
-        xhat, istd, u = tape.xhat, tape.istd, tape.u
-    if mask:
-        logits = minus_fast(u @ head.E + head.c, u, "E", "c")
-        losses, probs = softmax_xent_rows(logits, tape.targets)
-    else:
-        logits, probs, losses = tape.logits, tape.probs, tape.losses
-
-    return FastResult(losses, logits,
-                      FastCache(att, cum, relu_mask, v, xhat, istd, gain_rows, u, probs))
+    return _layers(head, H, tape.targets, tape, minus_fast, mask, att, cum)
 
 
 def segment_grad_sums(tape: PositionTape, grads: PositionGrads,

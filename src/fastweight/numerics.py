@@ -47,13 +47,14 @@ def relu2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def layernorm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS):
     """Normalize the last axis: y = gain * (x - mean) / sqrt(var + eps) + bias.
 
-    Works on (d,) vectors or (T, d) rows. Returns (y, cache) where cache is
-    (xhat, istd) needed by layernorm_bwd.
+    Works on (d,) vectors or (T, d) rows, with (d,) or per-row (T, d) gain and
+    bias. Returns (y, cache), cache = (xhat, istd, gain) for layernorm_bwd.
     """
     x = as_f64(x)
     gain = as_f64(gain)
     bias = as_f64(bias)
-    if gain.shape != bias.shape or gain.shape[-1] != x.shape[-1]:
+    # last dimensions only: np.broadcast_shapes costs more than the check is worth
+    if gain.shape[-1] != x.shape[-1] or bias.shape[-1] != x.shape[-1]:
         raise ShapeError(
             f"layernorm gain/bias {gain.shape}/{bias.shape} do not match input {x.shape}"
         )

@@ -3,7 +3,7 @@
 The training objective is the mean fast-pass loss. Its gradient is assembled
 by hand in three sweeps, mirroring how the loss was built:
 
-  1. fast-pass reverse (`_head_reverse` on the fast activations): direct
+  1. fast-pass reverse (`_head_reverse` on the fast tape): direct
      parameter/step-size paths, plus upstream gradients into the
      per-position gradient rows and the slow activations they attend over;
   2. reverse through the slow backward itself (the second-order part: the
@@ -168,11 +168,11 @@ def _zero_head_grads(head: hd.HeadParams) -> dict[str, np.ndarray]:
 
 
 def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
-                  fast: hd.FastResult, state: dict[str, np.ndarray] | None,
+                  fast: hd.PositionTape, state: dict[str, np.ndarray] | None,
                   chunk_size: int, w: float):
     """Gradient of w * sum_t L'_t w.r.t. head tensors, step sizes, H and the
-    stream accumulators. Returns (dhead, dalpha, ddelta, dH)."""
-    cache = fast.cache
+    stream accumulators, given the slow tape and the fast pass's tape `fast`.
+    Returns (dhead, dalpha, ddelta, dH)."""
     T, d = H.shape
 
     dhead = _zero_head_grads(head)
@@ -192,22 +192,22 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
             return
         d_term = -steps.alpha[name] * d_x
         if name in hd.KEYS:
-            dalpha[name] = -float((d_x * cache.att[name]).sum())
+            dalpha[name] = -float((d_x * fast.att[name]).sum())
             init = KVState(state[name]) if state is not None else None
             dq, dkeys[hd.KEYS[name]], dv, ddelta[name] = causal_linear_attention_vjp(
                 q, getattr(tape, hd.KEYS[name]), grads.rows(name), d_term, init, chunk_size)
             d_q += dq
         else:
-            dalpha[name] = -float((d_x * cache.cum[name]).sum())
+            dalpha[name] = -float((d_x * fast.cum[name]).sum())
             dv = reverse_exclusive_cumsum_rows(d_term)
             ddelta[name] = d_term.sum(axis=0)
         drows[hd.ROWS[name]] += dv
 
     # ---- fast pass: seed d(w * sum CE) / d fast logits, reverse its layers
-    dLG_f = cache.probs.copy()
+    dLG_f = fast.probs.copy()
     dLG_f[np.arange(T), tape.targets] -= 1.0
     dLG_f *= w
-    dH = _head_reverse(head, cache, H, cache.gain_rows, dhead, dLG_f, fast_term)
+    dH = _head_reverse(head, fast, dhead, dLG_f, fast_term)
     if "h" in dkeys:
         dH += dkeys["h"]  # U's keys are the same context vectors
 
@@ -251,17 +251,16 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     p = tape.probs
     dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
 
-    dH += _head_reverse(head, tape, tape.h, head.ln_gain, dhead, dLG_s,
+    dH += _head_reverse(head, tape, dhead, dLG_s,
                         dUo=dkeys.get("u", 0.0), dXH=dXH, dISTD=dISTD,
                         dVs=dkeys.get("v", 0.0), dZ=dZ_slow)
     return dhead, dalpha, ddelta, dH
 
 
-def _head_reverse(head: hd.HeadParams, acts, h, gain, dhead, dLG, tap=None,
+def _head_reverse(head: hd.HeadParams, acts: hd.PositionTape, dhead, dLG, tap=None,
                   dUo=0.0, dXH=0.0, dISTD=0.0, dVs=0.0, dZ=0.0):
     """Reverse of the head's layers (E/c, LayerNorm, b, W, squared ReLU, U/a)
-    over the pass whose activations are `acts` (the slow tape or a FastCache),
-    context vectors h and LayerNorm gain `gain`, for gradients on its logits
+    over the pass whose tape is `acts` (slow or fast), for gradients on its logits
     (dLG), LayerNorm output (dUo), normalised rows (dXH), inverse std
     (dISTD), squared-ReLU output (dVs) and pre-activation (dZ). Adds each
     tensor's slow gradient into dhead, calls tap(name, d_x) with d_x the
@@ -280,7 +279,7 @@ def _head_reverse(head: hd.HeadParams, acts, h, gain, dhead, dLG, tap=None,
     tap("ln_bias", dU)
     # xhat's path (which also runs through istd) by the LayerNorm backward,
     # then istd's direct path: d istd / d pre_ln = -istd^2 * xhat / d
-    dP, _, _ = layernorm_bwd((acts.xhat, acts.istd, 1.0), dXH + dU * gain)
+    dP, _, _ = layernorm_bwd((acts.xhat, acts.istd, 1.0), dXH + dU * acts.gain)
     dP -= acts.xhat * (acts.istd ** 2 * dISTD / acts.xhat.shape[1])
     dhead["b"] += dP.sum(axis=0)
     tap("b", dP)
@@ -288,10 +287,10 @@ def _head_reverse(head: hd.HeadParams, acts, h, gain, dhead, dLG, tap=None,
     dV = dVs + dP @ head.W.T
     tap("W", dP, acts.v, dV)
     dZ = dZ + dV * acts.relu_mask
-    dhead["U"] += h.T @ dZ
+    dhead["U"] += acts.h.T @ dZ
     dhead["a"] += dZ.sum(axis=0)
     dH = dZ @ head.U.T
-    tap("U", dZ, h, dH)
+    tap("U", dZ, acts.h, dH)
     tap("a", dZ)
     return dH
 
@@ -303,7 +302,7 @@ def head_slow_vjp(head: hd.HeadParams, tape, w: float):
     dLG = tape.probs.copy()
     dLG[np.arange(T), tape.targets] -= 1.0
     dLG *= w
-    return dhead, _head_reverse(head, tape, tape.h, head.ln_gain, dhead, dLG)
+    return dhead, _head_reverse(head, tape, dhead, dLG)
 
 
 @dataclass

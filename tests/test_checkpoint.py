@@ -72,14 +72,15 @@ _DROP = object()
     ((), [{}]),
     (("model_config",), _DROP),
     (("model_config", "backbone", "colour"), 1),
+    (("model_config", "colour"), 1),
     (("model_config", "backbone", "vocab_size"), _DROP),
     (("model_config", "gamma_init"), 1.0),
     (("tokenizer", "vocab"), _DROP),
     (("train_config",), "full"),
     (("opt_t",), "x"),
-], ids=["list-top-level", "no-model-config", "unknown-backbone-key", "no-vocab-size",
-        "gamma-init-one", "tokenizer-without-vocab", "train-config-string",
-        "opt-t-string"])
+], ids=["list-top-level", "no-model-config", "unknown-backbone-key",
+        "unknown-model-config-key", "no-vocab-size", "gamma-init-one",
+        "tokenizer-without-vocab", "train-config-string", "opt-t-string"])
 def test_malformed_metadata_is_config_error(path, value):
     def edit(meta):
         if not path:

@@ -269,6 +269,22 @@ def test_ckpt_misshapen_tensor_is_config_error(workdir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_scalar_step_size_of_an_unmasked_tensor_is_config_error(workdir, tmp_path,
+                                                                     capsys):
+    # it loaded, and bias-only scoring then raised a TypeError traceback
+    def vector_alpha_c(model):
+        model.config = dataclasses.replace(model.config, mask=("U",))
+        model.alpha["c"] = np.zeros(3)
+
+    ckpt = _resaved(workdir, tmp_path, vector_alpha_c)
+    rc = main(["score", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
+               "--variant", "bias-only"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "alpha.c" in err
+    assert out == ""
+
+
 def test_score_non_finite_perplexity_is_numerical_error(workdir, tmp_path, capsys):
     def huge_steps(model):
         for n in model.alpha:
@@ -297,7 +313,9 @@ def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
     ["dyneval", "--step-size", "inf"],   # printed numpy warnings, then exit 3
     ["dyneval", "--step-size", "nan"],
     ["bench", "--dyneval-step", "nan", "--max-docs", "1"],   # exited 0
-], ids=["dyneval-inf", "dyneval-nan", "bench-nan"])
+    ["score", "--variant", "test-time-only", "--global-step", "inf"],  # warnings, exit 3
+    ["score", "--variant", "test-time-only", "--global-step", "nan"],  # exited 3
+], ids=["dyneval-inf", "dyneval-nan", "bench-nan", "score-inf", "score-nan"])
 def test_non_finite_dyneval_step_is_config_error(workdir, capsys, args):
     rc = main(args + ["--ckpt", str(workdir / "run" / "final.ckpt"),
                       "--corpus", str(workdir / "dev.txt")])
@@ -309,13 +327,30 @@ def test_non_finite_dyneval_step_is_config_error(workdir, capsys, args):
 
 def test_overflowing_dyneval_step_is_numerical_error_without_warnings(workdir, capsys):
     ckpt = str(workdir / "run" / "final.ckpt")
-    rc = main(["dyneval", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
-               "--step-size", "1e300", "--chunk-len", "16"])
-    out, err = capsys.readouterr()
-    assert rc == 3
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1
-    assert "RuntimeWarning" not in err and "warning" not in err
-    assert out == ""
+    for args in (["dyneval", "--step-size", "1e300", "--chunk-len", "16"],
+                 ["score", "--variant", "test-time-only", "--global-step", "1e300"]):
+        rc = main(args + ["--ckpt", ckpt, "--corpus", str(workdir / "dev.txt")])
+        out, err = capsys.readouterr()
+        assert rc == 3, args
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+        assert "RuntimeWarning" not in err and "warning" not in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("how", [["--max-seq-len", "20"], ["--config", "model.json"]],
+                         ids=["flag", "config"])
+def test_train_defaults_seq_len_to_max_seq_len(workdir, tmp_path, capsys, how):
+    # scoring cuts max_seq_len segments, so training reaches every position
+    (tmp_path / "model.json").write_text('{"model": {"max_seq_len": 20}}')
+    how = [str(tmp_path / a) if a.endswith(".json") else a for a in how]
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--d-model", "8", "--n-layers", "1", "--n-heads", "2",
+               "--d-ff", "8", "--d-hidden", "8", "--total-steps", "1", "--batch-size", "1",
+               *how])
+    capsys.readouterr()
+    assert rc == 0
+    snap = load_checkpoint(tmp_path / "run" / "final.ckpt")
+    assert snap.train_config.seq_len == snap.model.config.backbone.max_seq_len == 20
 
 
 def test_training_length_above_max_seq_len_is_refused_before_any_output(workdir, tmp_path,

@@ -95,6 +95,10 @@ def test_fast_forward_zero_alpha_is_identity():
     grads = hd.per_position_grads(head, tape)
     fast = hd.fast_forward(head, steps, H, tape, grads)
     np.testing.assert_array_equal(fast.losses, losses)
+    # every layer is recomputed at mask ALL, and each equals the slow pass's
+    for name in ("z", "v", "relu_mask", "o", "xhat", "istd", "u", "logits", "probs",
+                 "losses"):
+        np.testing.assert_array_equal(getattr(fast, name), getattr(tape, name), err_msg=name)
 
 
 def test_fast_forward_empty_mask_is_slow_path():
@@ -118,7 +122,7 @@ def test_fast_forward_reuses_the_slow_layers_below_the_mask(mask, reused):
     tape, _ = hd.slow_forward(head, H, targets)
     fast = hd.fast_forward(head, steps, H, tape, hd.per_position_grads(head, tape))
     for name in ("v", "xhat", "u"):
-        assert (getattr(fast.cache, name) is getattr(tape, name)) == (name in reused), name
+        assert (getattr(fast, name) is getattr(tape, name)) == (name in reused), name
 
 
 def test_fast_forward_first_position_unchanged():

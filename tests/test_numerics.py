@@ -35,6 +35,18 @@ def test_layernorm_symmetric_input():
     np.testing.assert_allclose(y, [-1.0, 1.0], atol=1e-4)
 
 
+def test_layernorm_per_row_gain_with_vector_bias_equals_broadcast_call():
+    rng = np.random.default_rng(11)
+    x, gain_rows, bias = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=4)
+    y, (xhat, istd, _) = nm.layernorm_fwd(x, gain_rows, bias)
+    y_b, (xhat_b, istd_b, _) = nm.layernorm_fwd(x, gain_rows, np.broadcast_to(bias, (5, 4)))
+    for got, want in ((y, y_b), (xhat, xhat_b), (istd, istd_b)):
+        assert got.tobytes() == want.tobytes()
+    for gain, b in ((np.ones(3), bias), (gain_rows, np.zeros(5)), (np.ones((5, 3)), bias)):
+        with pytest.raises(nm.ShapeError):
+            nm.layernorm_fwd(x, gain, b)
+
+
 def test_layernorm_bwd_matches_finite_difference():
     rng = np.random.default_rng(0)
     x = rng.normal(size=8)
