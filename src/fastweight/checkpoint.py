@@ -19,7 +19,6 @@ import numpy as np
 
 from . import backbone as bb
 from .corpus import TokenizerSpec
-from .head import TENSOR_NAMES
 from .numerics import ConfigError
 from .training import Model, ModelConfig, TrainConfig, init_model
 
@@ -81,11 +80,6 @@ def save_checkpoint(path, model: Model, train_config: TrainConfig | None,
         "step": int(step),
     }
     tensors: list[tuple[str, np.ndarray]] = list(model.named_params())
-    # step sizes/decays for unmasked tensors ride along so masks can be changed
-    for n in TENSOR_NAMES:
-        if n not in model.mask:
-            tensors.append((f"alpha.{n}", model.alpha[n]))
-            tensors.append((f"gamma.{n}", model.gamma_raw[n]))
     if opt_state is not None:
         meta["opt_t"] = int(opt_state["t"])
         for k, v in opt_state["m"].items():
@@ -160,6 +154,8 @@ def load_checkpoint(path) -> CheckpointData:
         raise ConfigError(f"{path}: metadata is not a JSON object")
     try:
         return _from_metadata(path, meta, tensors)
+    except ConfigError:
+        raise  # its message names the file
     except (KeyError, TypeError, ValueError) as e:
         # a missing key, a wrong type or an unknown config field
         raise ConfigError(f"{path} has malformed metadata: {e!r}") from e
@@ -167,8 +163,11 @@ def load_checkpoint(path) -> CheckpointData:
 
 def _from_metadata(path, meta: dict, tensors: dict) -> CheckpointData:
     mc = meta["model_config"]
-    model = init_model(ModelConfig(**dict(mc, backbone=bb.BackboneConfig(**mc["backbone"]),
-                                          mask=tuple(mc["mask"]))))
+    try:
+        model = init_model(ModelConfig(**dict(mc, backbone=bb.BackboneConfig(**mc["backbone"]),
+                                              mask=tuple(mc["mask"]))))
+    except ConfigError as e:  # ModelConfig.validate's messages do not name the file
+        raise ConfigError(f"{path}: {e}") from e
     for key, want in list(model.named_params()):
         if key not in tensors:
             raise ConfigError(f"{path} has no tensor {key!r} for its model_config")
@@ -176,12 +175,6 @@ def _from_metadata(path, meta: dict, tensors: dict) -> CheckpointData:
             raise ConfigError(f"{path}: tensor {key!r} has shape {tensors[key].shape}, "
                               f"its model_config needs {want.shape}")
         model.set(key, tensors[key])
-    for n in TENSOR_NAMES:
-        for kind, values in (("alpha", model.alpha), ("gamma", model.gamma_raw)):
-            values[n] = tensors.get(f"{kind}.{n}", values[n])
-            if values[n].ndim:
-                raise ConfigError(f"{path}: tensor '{kind}.{n}' has shape "
-                                  f"{values[n].shape}, not the scalar () it needs")
 
     train_config = None
     if meta.get("train_config"):

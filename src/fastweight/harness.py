@@ -32,20 +32,27 @@ def _check_tokenizer(ckpt: CheckpointData, corpus: Corpus):
 
 
 def _variant_steps(model: Model, variant: str, global_step) -> hd.StepSizes:
-    """The step sizes a variant reads; an empty mask means no fast weights."""
+    """The step sizes a variant reads; an empty mask, or a zero test-time
+    step, means no fast weights. A model holds step sizes and decays only for
+    its own fast tensors, so a variant that makes others fast cannot run."""
     if variant == "baseline":
         return hd.StepSizes({}, ())
     if variant == "fwl":
         return model.step_sizes()
-    if variant == "test-time-only":
-        if global_step is None:
-            raise ConfigError("test-time-only scoring needs a global step size")
-        if not np.isfinite(global_step):
-            raise ConfigError(f"global step must be finite, got {global_step}")
-        return hd.StepSizes.uniform(float(global_step), hd.MASK_ALL)
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    mask = hd.MASK_BIAS_ONLY if variant == "bias-only" else hd.MASK_ALL
+    lacking = [n for n in mask if n not in model.mask]
+    if lacking:
+        raise ConfigError(f"{variant} scoring makes {lacking} fast, but this model holds "
+                          f"step sizes and decays only for its mask {list(model.mask)}")
     if variant == "bias-only":
-        return hd.StepSizes({"c": float(model.alpha["c"])}, hd.MASK_BIAS_ONLY)
-    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return hd.StepSizes({"c": float(model.alpha["c"])}, mask)
+    if global_step is None:
+        raise ConfigError("test-time-only scoring needs a global step size")
+    if not np.isfinite(global_step):
+        raise ConfigError(f"global step must be finite, got {global_step}")
+    return hd.StepSizes.uniform(float(global_step), mask if global_step else ())
 
 
 @dataclass
@@ -88,10 +95,7 @@ def tune_global_step(ckpt: CheckpointData, dev_corpus: Corpus, grid) -> tuple[fl
         raise ConfigError("tune_global_step needs a non-empty grid")
     best_step, best_ppl = None, np.inf
     for g in grid:
-        if g == 0.0:
-            ppl = score(ckpt, dev_corpus, "baseline").perplexity
-        else:
-            ppl = score(ckpt, dev_corpus, "test-time-only", global_step=g).perplexity
+        ppl = score(ckpt, dev_corpus, "test-time-only", global_step=g).perplexity
         if ppl < best_ppl:
             best_step, best_ppl = g, ppl
     return best_step, best_ppl
@@ -171,8 +175,7 @@ def ablate(checkpoints: dict[str, CheckpointData], corpus: Corpus,
     rows.append(AblationRow("FWL", res.perplexity, res.tokens_per_sec))
 
     best_step, _ = tune_global_step(checkpoints["slow"], dev, step_grid)
-    res = (score(checkpoints["slow"], corpus, "test-time-only", global_step=best_step)
-           if best_step else score(checkpoints["slow"], corpus, "baseline"))
+    res = score(checkpoints["slow"], corpus, "test-time-only", global_step=best_step)
     rows.append(AblationRow("Test-time only", res.perplexity, res.tokens_per_sec,
                             f"step={best_step:g}"))
 
@@ -330,13 +333,11 @@ def head_backward_flops_per_token(d, m, vocab):
 
 
 def fast_pass_flops_per_token(d, m, vocab, mask, chunk_size) -> int:
-    total = 2 * d * m + 2 * m + 2 * m * d + _ln_flops(d)  # recompose the head
+    total = head_slow_flops_per_token(d, m)  # recompose the head
     la_shapes = {"U": (d, m), "W": (m, d), "E": (d, vocab)}
     for name in mask:
         if name in la_shapes:
-            dk, dv = la_shapes[name]
-            # amortized mixed-chunk cost: intra-chunk quadratic + prefix state
-            total += 2 * chunk_size * (dk + dv) + 4 * dk * dv
+            total += la.flops_chunked(1, *la_shapes[name], chunk_size)
         else:
             dim = {"a": m, "b": d, "ln_gain": d, "ln_bias": d, "c": vocab}[name]
             total += 2 * dim

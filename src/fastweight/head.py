@@ -11,7 +11,7 @@ slow-pass inputs, values = upstream gradient rows). Vector terms are exclusive
 cumulative sums of gradient rows.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,16 +171,30 @@ def _check_state(state: dict[str, np.ndarray], head: HeadParams, mask) -> None:
 
 
 def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
-            minus=lambda x, q, *names: x, mask=frozenset(), att=None,
-            cum=None) -> PositionTape:
+            steps=None, term=None) -> PositionTape:
     """The head's layers in order: U/a, squared ReLU, W/b, LayerNorm, E/c.
 
     Without `slow` this is the slow pass. With it, a fast pass over the slow
-    tape `slow`: minus(x, q, *names) subtracts from x the fast terms of the
-    masked tensors in names (q: a matrix's queries), filling att and cum, and
-    a layer is recomputed only if a tensor at or below it is in `mask`.
+    tape `slow`: each tensor in steps.mask is its slow value minus its step
+    size times term(name, q), its summed earlier gradients (q: a matrix's
+    queries), kept in the tape's att or cum; a layer is recomputed only if a
+    tensor at or below it is in the mask.
     """
     new = slow is None
+    mask = set() if new else set(steps.mask)
+    att, cum = {}, {}
+
+    def minus(x, q, *names):
+        """x minus alpha * term for each masked tensor in names. Only the
+        first subtraction allocates; x itself is never written."""
+        x_in = x
+        for name in names:
+            if name in mask:
+                t = term(name, q)
+                (att if name in KEYS else cum)[name] = t
+                x = np.subtract(x, steps.alpha[name] * t, out=None if x is x_in else x)
+        return x
+
     if new or mask & {"U", "a"}:
         z = minus(H @ head.U + head.a if new else slow.z, H, "U", "a")
         v, relu_mask = relu2(z)
@@ -199,7 +213,7 @@ def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
     else:
         logits, probs, losses = slow.logits, slow.probs, slow.losses
     return PositionTape(H, targets, z, v, relu_mask, o, xhat, istd, u, logits, probs,
-                        losses, gain, att or {}, cum or {})
+                        losses, gain, att, cum)
 
 
 def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape, np.ndarray]:
@@ -244,37 +258,23 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
     update_stream_state), a constant under differentiation.
     """
     H = as_f64(H)
-    mask = set(steps.mask)
     if state is not None:
-        _check_state(state, head, mask)
-    att: dict[str, np.ndarray] = {}
-    cum: dict[str, np.ndarray] = {}
+        _check_state(state, head, steps.mask)
 
-    def minus_fast(x, q, *names):
-        """x minus alpha * (summed earlier gradients, from the stream
-        accumulator on) for each masked tensor in names: linear attention with
-        queries q for a matrix, an exclusive cumsum for a vector. Only the
-        first subtraction allocates; x itself is never written."""
-        x_in = x
-        for name in names:
-            if name not in mask:
-                continue
-            init = state[name] if state is not None else None
-            rows = grads.rows(name)
-            if name in KEYS:
-                term, _ = la.chunked_causal_linear_attention(
-                    q, getattr(tape, KEYS[name]), rows, chunk_size,
-                    la.KVState(init) if init is not None else None)
-                att[name] = term
-            else:
-                term = exclusive_cumsum_rows(rows)
-                if init is not None:
-                    term = term + init
-                cum[name] = term
-            x = np.subtract(x, steps.alpha[name] * term, out=None if x is x_in else x)
-        return x
+    def term(name, q):
+        """The summed earlier gradients of tensor name, from the stream
+        accumulator on: linear attention with queries q for a matrix, an
+        exclusive cumsum for a vector."""
+        init = state[name] if state is not None else None
+        rows = grads.rows(name)
+        if name in KEYS:
+            return la.chunked_causal_linear_attention(
+                q, getattr(tape, KEYS[name]), rows, chunk_size,
+                la.KVState(init) if init is not None else None)[0]
+        cum = exclusive_cumsum_rows(rows)
+        return cum if init is None else cum + init
 
-    return _layers(head, H, tape.targets, tape, minus_fast, mask, att, cum)
+    return _layers(head, H, tape.targets, tape, steps, term)
 
 
 def segment_grad_sums(tape: PositionTape, grads: PositionGrads,
@@ -303,10 +303,12 @@ def update_stream_state(prev: dict[str, np.ndarray], pending: dict[str, np.ndarr
     return {name: gammas[name] * prev[name] + pending[name] for name in prev}
 
 
-def head_grads_single(head: HeadParams, h: np.ndarray, target: int) -> dict[str, np.ndarray]:
-    """Full gradients of one position's slow loss, keyed by tensor name."""
-    tape, _ = slow_forward(head, as_f64(h)[None, :], [target])
-    return segment_grad_sums(tape, per_position_grads(head, tape), TENSOR_NAMES)
+def head_grads_single(head: HeadParams, tape: PositionTape, target: int,
+                      mask: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Full gradients of a one-position slow tape's loss at `target`, for the
+    tensors in mask."""
+    tape = replace(tape, targets=np.array([target]))
+    return segment_grad_sums(tape, per_position_grads(head, tape), mask)
 
 
 def sample_token(logits: np.ndarray, temperature: float, rng) -> int:
@@ -330,19 +332,20 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: dict[str, np.ndar
                   h: np.ndarray, temperature: float, rng) -> GenStep:
     """One sequential generation step.
 
-    Samples from the fast-weight distribution (slow tensors offset by the
-    accumulated gradients), then folds the gradient of predicting the sampled
-    token -- computed against the slow weights -- into the offsets.
+    Samples from the fast-weight distribution: one slow pass at the position,
+    then the head's layers over its tape with each masked tensor offset by
+    its accumulated gradients (q @ offsets for a matrix). Then folds the
+    gradient of predicting the sampled token -- from the same slow tape --
+    into the offsets.
     """
     _check_state(offsets, head, steps.mask)
-    fast = HeadParams(**{n: t - steps.alpha[n] * offsets[n] if n in steps.mask else t
-                         for n, t in head.named()})
-    # the target is not sampled yet; the tape's probabilities do not depend on it
-    tape, _ = slow_forward(fast, as_f64(h)[None, :], [0])
-    logits = tape.logits[0]
-    token = sample_token(logits, temperature, rng)
-    fast_loss = float(-np.log(tape.probs[0, token]))
+    # the target is not sampled yet; the tapes' probabilities do not depend on it
+    slow, _ = slow_forward(head, as_f64(h)[None, :], [0])
+    fast = _layers(head, slow.h, slow.targets, slow, steps,
+                   lambda n, q: q @ offsets[n] if n in KEYS else offsets[n])
+    token = sample_token(fast.logits[0], temperature, rng)
+    fast_loss = float(-np.log(fast.probs[0, token]))
     if not steps.mask:
         return GenStep(token, offsets, fast_loss)
-    grads = head_grads_single(head, h, token)
+    grads = head_grads_single(head, slow, token, steps.mask)
     return GenStep(token, {n: offsets[n] + grads[n] for n in steps.mask}, fast_loss)

@@ -58,6 +58,8 @@ class ModelConfig:
             raise ConfigError(f"d_hidden must be positive, got {self.d_hidden}")
         if self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if not np.isfinite(self.alpha_init):
+            raise ConfigError(f"alpha_init must be finite, got {self.alpha_init}")
         if not 0.0 < self.gamma_init < 1.0:
             raise ConfigError(f"gamma_init must lie in (0, 1), got {self.gamma_init}")
         bad = [n for n in self.mask if n not in hd.TENSOR_NAMES]
@@ -71,8 +73,8 @@ class Model:
     config: ModelConfig
     backbone: bb.BackboneParams
     head: hd.HeadParams
-    alpha: dict[str, np.ndarray]      # 0-d arrays, one per head tensor
-    gamma_raw: dict[str, np.ndarray]  # 0-d arrays; decay = sigmoid(gamma_raw)
+    alpha: dict[str, np.ndarray]      # 0-d arrays, one per fast tensor (in mask)
+    gamma_raw: dict[str, np.ndarray]  # 0-d arrays, the same keys; decay = sigmoid(gamma_raw)
 
     @property
     def mask(self) -> tuple[str, ...]:
@@ -132,8 +134,8 @@ def init_model(config: ModelConfig) -> Model:
     head = hd.init_head(bcfg.d_model, config.d_hidden, bcfg.vocab_size,
                         seed=bcfg.seed + 1)
     gamma_raw_init = float(np.log(config.gamma_init / (1 - config.gamma_init)))
-    alpha = {n: np.float64(config.alpha_init) for n in hd.TENSOR_NAMES}
-    gamma_raw = {n: np.float64(gamma_raw_init) for n in hd.TENSOR_NAMES}
+    alpha = {n: np.float64(config.alpha_init) for n in config.mask}
+    gamma_raw = {n: np.float64(gamma_raw_init) for n in config.mask}
     return Model(config, backbone, head, alpha, gamma_raw)
 
 

@@ -94,8 +94,9 @@ def test_malformed_metadata_is_config_error(path, value):
             node[path[-1]] = value
         return meta
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         _load(_with_meta(edit))
+    assert str(info.value).count("edited.ckpt") == 1 and "ConfigError(" not in str(info.value)
 
 
 def test_format_one_file_without_checksum_loads():

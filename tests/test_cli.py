@@ -269,19 +269,18 @@ def test_ckpt_misshapen_tensor_is_config_error(workdir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_non_scalar_step_size_of_an_unmasked_tensor_is_config_error(workdir, tmp_path,
-                                                                     capsys):
-    # it loaded, and bias-only scoring then raised a TypeError traceback
-    def vector_alpha_c(model):
+def test_bias_only_scoring_of_a_model_without_c_is_config_error(workdir, tmp_path, capsys):
+    # a model holds step sizes only for its fast tensors; bias-only scoring of
+    # a model without c used to read c's untrained alpha_init
+    def mask_u(model):
         model.config = dataclasses.replace(model.config, mask=("U",))
-        model.alpha["c"] = np.zeros(3)
 
-    ckpt = _resaved(workdir, tmp_path, vector_alpha_c)
+    ckpt = _resaved(workdir, tmp_path, mask_u)
     rc = main(["score", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
                "--variant", "bias-only"])
     out, err = capsys.readouterr()
     assert rc == 1
-    assert err.startswith("error: ") and err.count("\n") == 1 and "alpha.c" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "['c']" in err
     assert out == ""
 
 
@@ -381,10 +380,12 @@ def test_training_length_above_max_seq_len_is_refused_before_any_output(workdir,
     '{"train": {"learning_rate": NaN}}',   # Python's json reads NaN
     '{"train": {"seed": -1}}',             # was a ValueError from numpy's rng
     '{"model": {"vocab_size": 999}}',      # the corpus sets it; score refused the model
+    '{"model": {"alpha_init": NaN}}',      # trained, then exit 3 on a non-finite loss
+    '{"model": {"alpha_init": Infinity}}',
 ], ids=["unknown-train-key", "malformed-json", "unknown-model-key", "not-an-object",
         "str-learning-rate", "str-d-model", "int-mask", "eval-every-0", "beta1-1",
         "beta2-negative", "eps-0", "weight-decay-negative", "nan-learning-rate",
-        "negative-seed", "vocab-size"])
+        "negative-seed", "vocab-size", "nan-alpha-init", "inf-alpha-init"])
 def test_bad_train_config_is_config_error(workdir, tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)

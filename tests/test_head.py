@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fastweight import head as hd
+from fastweight import linear_attention as la
 from fastweight import numerics as nm
 from fastweight import oracle
 
@@ -232,6 +233,21 @@ def test_generate_step_zero_alpha_matches_slow_sampling():
     tape, _ = hd.slow_forward(head, H, [0])
     expected = hd.sample_token(tape.logits[0], 1.0, np.random.default_rng(42))
     assert out.token == expected
+
+
+def test_generate_step_makes_one_slow_pass_and_no_kernel_call(monkeypatch):
+    # the fast distribution is the head's layers over the position's slow
+    # tape, and the sampled token's gradient comes from that same tape
+    head, steps, H, _ = make_instance(17, T=5)
+    calls = []
+    for mod, name in ((hd, "slow_forward"), (la, "chunked_causal_linear_attention")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    offsets, rng = zero_state(head, steps.mask), np.random.default_rng(0)
+    for h in H:
+        offsets = hd.generate_step(head, steps, offsets, h, 1.0, rng).offsets
+    assert calls == ["slow_forward"] * len(H)
 
 
 def test_generate_step_temperature_zero_tie_break():
