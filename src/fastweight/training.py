@@ -481,7 +481,7 @@ def batch_loss_and_grads(model: Model, batch, config: TrainConfig,
         new_carries.append(res.carry)
         for k, g in res.grads.items():
             if k in acc:
-                acc[k] = acc[k] + g
+                acc[k] += g
             else:
                 acc[k] = np.array(g)
     return loss_sum / total_tokens, acc, new_carries

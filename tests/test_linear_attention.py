@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastweight import linear_attention as la
 from fastweight.numerics import ShapeError
@@ -87,27 +89,48 @@ def test_state_is_additive_over_spans():
     np.testing.assert_allclose(s_a.accumulator + s_b.accumulator, s_all.accumulator)
 
 
+def dense_vjp(q, k, v, d_out, init):
+    """(dq, dk, dv, d_init) through the explicit strictly-causal score matrix."""
+    scores = np.tril(q @ k.T, k=-1)
+    dscores = np.tril(d_out @ v.T, k=-1)
+    dq = dscores @ k
+    if init is not None:
+        dq += d_out @ init.accumulator.T
+    return dq, dscores.T @ q, scores.T @ d_out, q.T @ d_out
+
+
 def test_vjp_matches_dense_reference():
     rng = np.random.default_rng(10)
     T, dk, dv = 11, 4, 3
     q, k, v = rand_qkv(rng, T, dk, dv)
     init = la.KVState(rng.normal(size=(dk, dv)))
     d_out = rng.normal(size=(T, dv))
-
-    # dense reference via explicit masked score matrix
-    scores = np.tril(q @ k.T, k=-1)
-    dq_ref = d_out @ (init.accumulator.T) + (d_out @ v.T * np.tril(np.ones((T, T)), -1)) @ k
-    dscores = np.tril(d_out @ v.T, k=-1)
-    dk_ref = dscores.T @ q
-    dv_ref = scores.T @ d_out
-    dinit_ref = q.T @ d_out
-
+    ref = dense_vjp(q, k, v, d_out, init)
     for chunk in (T, 4):
-        dq, dk_, dv_, dinit = la.causal_linear_attention_vjp(q, k, v, d_out, init, chunk)
-        np.testing.assert_allclose(dq, dq_ref, atol=1e-10)
-        np.testing.assert_allclose(dk_, dk_ref, atol=1e-10)
-        np.testing.assert_allclose(dv_, dv_ref, atol=1e-10)
-        np.testing.assert_allclose(dinit, dinit_ref, atol=1e-10)
+        got = la.causal_linear_attention_vjp(q, k, v, d_out, init, chunk)
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, atol=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chunk=st.integers(1, 9), length=st.sampled_from(["1", "C-1", "C", "C+1", "3C+5"]),
+       dk=st.integers(1, 6), dv=st.integers(1, 6), with_init=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_vjp_walk_matches_dense_reference(chunk, length, dk, dv, with_init, seed):
+    # T around the chunk edges: one row, a ragged single chunk, exactly one,
+    # one row into a second, and a ragged tail after three whole chunks
+    T = max(1, {"1": 1, "C-1": chunk - 1, "C": chunk, "C+1": chunk + 1,
+                "3C+5": 3 * chunk + 5}[length])
+    rng = np.random.default_rng(seed)
+    q, k, v = rand_qkv(rng, T, dk, dv)
+    d_out = rng.normal(size=(T, dv))
+    init = la.KVState(rng.normal(size=(dk, dv))) if with_init else None
+    got = la.causal_linear_attention_vjp(q, k, v, d_out, init, chunk)
+    # the reference's d_init is q.T @ d_out; a zero reference (dq, dk, dv at
+    # T 1 without init) must come back exactly zero
+    for name, g, r in zip(("dq", "dk", "dv", "d_init"), got, dense_vjp(q, k, v, d_out, init)):
+        assert g.shape == r.shape, name
+        assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), name
 
 
 def test_chunked_flops_beat_quadratic_at_long_T():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fastweight import backbone as bb
 from fastweight import harness as hn
 from fastweight import head as hd
+from fastweight import linear_attention as la
 from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
@@ -66,6 +67,22 @@ def test_full_mode_second_order_gradients_match_finite_difference():
     cfg = tr.TrainConfig(mode="full")
     err = directional_derivative_check(model, batch, cfg, n_directions=4, seed=4)
     assert err < 1e-4
+
+
+def test_full_mode_runs_one_kernel_and_one_vjp_per_matrix(monkeypatch):
+    # the fast pass runs the chunked kernel once per fast matrix (U, W, E) and
+    # the head's fast VJP one walk per matrix, which calls no kernel
+    model = tiny_model()
+    (tokens, targets), = tiny_batch(model, T=9, n_seqs=1)
+    calls = []
+    for mod, name in ((la, "chunked_causal_linear_attention"),
+                      (tr, "causal_linear_attention_vjp")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    tr.sequence_loss_and_grads(model, tokens, targets, "full")
+    assert sorted(calls) == (["causal_linear_attention_vjp"] * 3
+                             + ["chunked_causal_linear_attention"] * 3)
 
 
 @pytest.mark.parametrize("mask", [hd.MASK_BIAS_ONLY, hd.MASK_VECTORS,
