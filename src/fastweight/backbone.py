@@ -82,7 +82,6 @@ class LayerParams:
     wv: np.ndarray
     wo: np.ndarray
     bq: np.ndarray
-    bk: np.ndarray
     bv: np.ndarray
     bo: np.ndarray
     ln2_g: np.ndarray
@@ -144,7 +143,7 @@ def init_backbone(config: BackboneConfig) -> BackboneParams:
             wk=rng.normal(0, 1 / np.sqrt(d), (d, d)),
             wv=rng.normal(0, 1 / np.sqrt(d), (d, d)),
             wo=rng.normal(0, 1 / np.sqrt(d), (d, d)),
-            bq=np.zeros(d), bk=np.zeros(d), bv=np.zeros(d), bo=np.zeros(d),
+            bq=np.zeros(d), bv=np.zeros(d), bo=np.zeros(d),
             ln2_g=np.ones(d), ln2_b=np.zeros(d),
             w1=rng.normal(0, 1 / np.sqrt(d), (d, dff)), b1=np.zeros(dff),
             w2=rng.normal(0, 1 / np.sqrt(dff), (dff, d)), b2=np.zeros(d),
@@ -200,7 +199,7 @@ def _attention(lp: LayerParams, x, mem, cfg):
     hd = cfg.d_model // cfg.n_heads
     q = y[M:] @ lp.wq + lp.bq
     q /= np.sqrt(hd)  # scale the (T, d) queries, not the scores
-    k = y @ lp.wk + lp.bk
+    k = y @ lp.wk
     v = y @ lp.wv + lp.bv
     qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
     ctx = np.empty((T, cfg.d_model))
@@ -255,7 +254,6 @@ def _attention_bwd(lp: LayerParams, cfg, cache, dout):
     grads["wq"] = y[M:].T @ dq
     grads["bq"] = dq.sum(axis=0)
     grads["wk"] = y.T @ dk
-    grads["bk"] = dk.sum(axis=0)
     grads["wv"] = y.T @ dv
     grads["bv"] = dv.sum(axis=0)
     dy = dk @ lp.wk.T + dv @ lp.wv.T
@@ -369,8 +367,8 @@ def encode_next(params: BackboneParams, token: int, pos: int, kv,
         y, _ = layernorm_fwd(x, lp.ln1_g, lp.ln1_b)
         q = y @ lp.wq + lp.bq
         q /= np.sqrt(cfg.d_model // cfg.n_heads)
-        kh, vh = (np.concatenate([old, _split_heads(y @ wt + bias, cfg.n_heads)], axis=1)
-                  for old, wt, bias in zip(kv[li], (lp.wk, lp.wv), (lp.bk, lp.bv)))
+        kh, vh = (np.concatenate([old, _split_heads(t, cfg.n_heads)], axis=1)
+                  for old, t in zip(kv[li], (y @ lp.wk, y @ lp.wv + lp.bv)))
         new_kv.append((kh, vh))
         w = _split_heads(q, cfg.n_heads) @ kh.transpose(0, 2, 1)  # every cached row is visible
         w -= w.max(axis=2, keepdims=True)

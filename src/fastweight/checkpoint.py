@@ -187,10 +187,11 @@ def _from_metadata(path, meta: dict, tensors: dict) -> CheckpointData:
         tokenizer = TokenizerSpec(meta["tokenizer"]["mode"], meta["tokenizer"]["vocab"])
     opt_state = None
     if "opt_t" in meta:
-        opt_state = {
-            "m": {k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")},
-            "v": {k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")},
-            "t": int(meta["opt_t"]),
-        }
+        # only the moments of the model's parameters: older files also hold
+        # those of deleted ones (the backbone's key biases, layers.*.bk)
+        names = {k for k, _ in model.named_params()}
+        opt_state = {p: {k[6:]: v for k, v in tensors.items()
+                         if k.startswith(f"opt.{p}.") and k[6:] in names} for p in "mv"}
+        opt_state["t"] = int(meta["opt_t"])
     return CheckpointData(model, train_config, tokenizer, opt_state,
                           int(meta.get("step", 0)))

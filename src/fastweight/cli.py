@@ -293,7 +293,7 @@ def cmd_verify(args) -> int:
         targets = rng.integers(0, vocab, size=T)
         alphas = {n: float(a) for n, a in zip(
             head.TENSOR_NAMES, 0.05 * rng.uniform(-1, 1, 8))}
-        steps = head.StepSizes(alphas, masks[i % 4])
+        steps = {n: alphas[n] for n in masks[i % 4]}
         tape, _ = head.slow_forward(params, H, targets)
         grads = head.per_position_grads(params, tape)
         fast = head.fast_forward(params, steps, H, tape, grads, chunk_size=16)

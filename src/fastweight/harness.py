@@ -32,11 +32,11 @@ def _check_tokenizer(ckpt: CheckpointData, corpus: Corpus):
 
 
 def _variant_steps(model: Model, variant: str, global_step) -> hd.StepSizes:
-    """The step sizes a variant reads; an empty mask, or a zero test-time
-    step, means no fast weights. A model holds step sizes and decays only for
+    """The step sizes a variant reads; {}, which a zero test-time step gives
+    too, means no fast weights. A model holds step sizes and decays only for
     its own fast tensors, so a variant that makes others fast cannot run."""
     if variant == "baseline":
-        return hd.StepSizes({}, ())
+        return {}
     if variant == "fwl":
         return model.step_sizes()
     if variant not in VARIANTS:
@@ -47,12 +47,12 @@ def _variant_steps(model: Model, variant: str, global_step) -> hd.StepSizes:
         raise ConfigError(f"{variant} scoring makes {lacking} fast, but this model holds "
                           f"step sizes and decays only for its mask {list(model.mask)}")
     if variant == "bias-only":
-        return hd.StepSizes({"c": float(model.alpha["c"])}, mask)
+        return {"c": float(model.alpha["c"])}
     if global_step is None:
         raise ConfigError("test-time-only scoring needs a global step size")
     if not np.isfinite(global_step):
         raise ConfigError(f"global step must be finite, got {global_step}")
-    return hd.StepSizes.uniform(float(global_step), mask if global_step else ())
+    return dict.fromkeys(mask, float(global_step)) if global_step else {}
 
 
 @dataclass
@@ -476,14 +476,13 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
 
     def slow_sums(H, targets):
         """The summed slow gradients of H's positions."""
-        if not steps.mask:
+        if not steps:
             return {}
         tape, _ = hd.slow_forward(model.head, H, targets)
-        return hd.segment_grad_sums(tape, hd.per_position_grads(model.head, tape),
-                                    steps.mask)
+        return hd.segment_grad_sums(tape, hd.per_position_grads(model.head, tape), steps)
 
     start = (len(ids) - 1) // L * L  # the current segment's first position
-    carry = StreamCarry.fresh(model, steps.mask)
+    carry = StreamCarry.fresh(model, steps)
     for tokens, targets in doc_segments(np.array(ids[:start + 1]), L):
         H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
                                             backward=False)
@@ -492,7 +491,7 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)
     kv, h = bb.attention_kv(cache), H[-1]
     prefix = slow_sums(H[:-1], ids[start + 1:])
-    offsets = {n: state[n] + prefix[n] for n in steps.mask}
+    offsets = {n: state[n] + prefix[n] for n in steps}
     losses = []
     for i in range(n_tokens):
         out = hd.generate_step(model.head, steps, offsets, h, temperature, rng)
@@ -507,7 +506,7 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
             continue
         # the segment is full: it is memory now, and its gradients are pending
         start += L
-        carry = StreamCarry(memory, state, {n: offsets[n] - state[n] for n in steps.mask})
+        carry = StreamCarry(memory, state, {n: offsets[n] - state[n] for n in steps})
         state = offsets = carry.state(gammas)
         H, cache, memory = bb.encode_with_cache(model.backbone, [out.token], carry.memory)
         kv, h = bb.attention_kv(cache), H[-1]

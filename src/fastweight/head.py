@@ -11,6 +11,7 @@ slow-pass inputs, values = upstream gradient rows). Vector terms are exclusive
 cumulative sums of gradient rows.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,14 +67,6 @@ class HeadParams:
     def d_model(self) -> int:
         return self.U.shape[0]
 
-    @property
-    def d_hidden(self) -> int:
-        return self.U.shape[1]
-
-    @property
-    def vocab(self) -> int:
-        return self.c.shape[0]
-
     def tensor(self, name: str) -> np.ndarray:
         return getattr(self, name)
 
@@ -99,24 +92,9 @@ def init_head(d_model: int, d_hidden: int, vocab: int, seed: int = 0) -> HeadPar
     )
 
 
-@dataclass
-class StepSizes:
-    """One learned step size per head tensor plus the fast-weight mask."""
-
-    alpha: dict[str, float]
-    mask: tuple[str, ...] = MASK_ALL
-
-    def __post_init__(self):
-        bad = [n for n in self.mask if n not in TENSOR_NAMES]
-        if bad:
-            raise ShapeError(f"unknown tensors in fast-weight mask: {bad}")
-        missing = [n for n in self.mask if n not in self.alpha]
-        if missing:
-            raise ShapeError(f"step sizes missing for masked tensors: {missing}")
-
-    @staticmethod
-    def uniform(value: float, mask: tuple[str, ...] = MASK_ALL) -> "StepSizes":
-        return StepSizes({n: float(value) for n in TENSOR_NAMES}, tuple(mask))
+# Step sizes: each fast tensor's name and its learned alpha. The keys are the
+# fast-weight mask, so {} means no fast weights.
+StepSizes = dict[str, float]
 
 
 @dataclass
@@ -175,13 +153,13 @@ def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
     """The head's layers in order: U/a, squared ReLU, W/b, LayerNorm, E/c.
 
     Without `slow` this is the slow pass. With it, a fast pass over the slow
-    tape `slow`: each tensor in steps.mask is its slow value minus its step
+    tape `slow`: each tensor in steps is its slow value minus its step
     size times term(name, q), its summed earlier gradients (q: a matrix's
     queries), kept in the tape's att or cum; a layer is recomputed only if a
     tensor at or below it is in the mask.
     """
     new = slow is None
-    mask = set() if new else set(steps.mask)
+    mask = set() if new else set(steps)
     att, cum = {}, {}
 
     def minus(x, q, *names):
@@ -192,7 +170,7 @@ def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
             if name in mask:
                 t = term(name, q)
                 (att if name in KEYS else cum)[name] = t
-                x = np.subtract(x, steps.alpha[name] * t, out=None if x is x_in else x)
+                x = np.subtract(x, steps[name] * t, out=None if x is x_in else x)
         return x
 
     if new or mask & {"U", "a"}:
@@ -259,7 +237,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
     """
     H = as_f64(H)
     if state is not None:
-        _check_state(state, head, steps.mask)
+        _check_state(state, head, steps)
 
     def term(name, q):
         """The summed earlier gradients of tensor name, from the stream
@@ -278,7 +256,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
 
 
 def segment_grad_sums(tape: PositionTape, grads: PositionGrads,
-                      mask: tuple[str, ...]) -> dict[str, np.ndarray]:
+                      mask: Iterable[str]) -> dict[str, np.ndarray]:
     """Summed per-position gradients of one segment, per masked tensor."""
     sums = {}
     for name in mask:
@@ -304,7 +282,7 @@ def update_stream_state(prev: dict[str, np.ndarray], pending: dict[str, np.ndarr
 
 
 def head_grads_single(head: HeadParams, tape: PositionTape, target: int,
-                      mask: tuple[str, ...]) -> dict[str, np.ndarray]:
+                      mask: Iterable[str]) -> dict[str, np.ndarray]:
     """Full gradients of a one-position slow tape's loss at `target`, for the
     tensors in mask."""
     tape = replace(tape, targets=np.array([target]))
@@ -338,14 +316,14 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: dict[str, np.ndar
     gradient of predicting the sampled token -- from the same slow tape --
     into the offsets.
     """
-    _check_state(offsets, head, steps.mask)
+    _check_state(offsets, head, steps)
     # the target is not sampled yet; the tapes' probabilities do not depend on it
     slow, _ = slow_forward(head, as_f64(h)[None, :], [0])
     fast = _layers(head, slow.h, slow.targets, slow, steps,
                    lambda n, q: q @ offsets[n] if n in KEYS else offsets[n])
     token = sample_token(fast.logits[0], temperature, rng)
     fast_loss = float(-np.log(fast.probs[0, token]))
-    if not steps.mask:
+    if not steps:
         return GenStep(token, offsets, fast_loss)
-    grads = head_grads_single(head, slow, token, steps.mask)
-    return GenStep(token, {n: offsets[n] + grads[n] for n in steps.mask}, fast_loss)
+    grads = head_grads_single(head, slow, token, steps)
+    return GenStep(token, {n: offsets[n] + grads[n] for n in steps}, fast_loss)

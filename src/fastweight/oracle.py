@@ -86,6 +86,6 @@ def sequential_fast_forward(head: HeadParams, steps: StepSizes, H, targets) -> n
     for t in range(H.shape[0]):
         losses[t], _ = _forward(fast, H[t], int(targets[t]))
         grads = _full_grads(slow, H[t], int(targets[t]))
-        for name in steps.mask:
-            fast[name] = fast[name] - steps.alpha[name] * grads[name]
+        for name, alpha in steps.items():
+            fast[name] = fast[name] - alpha * grads[name]
     return losses

@@ -25,6 +25,7 @@ one scoring loop (`score_streams`), shared by `fit`'s dev NLL and
 import dataclasses
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class Model:
         return self.config.mask
 
     def step_sizes(self) -> hd.StepSizes:
-        return hd.StepSizes({n: float(a) for n, a in self.alpha.items()}, self.mask)
+        return {n: float(a) for n, a in self.alpha.items()}
 
     def gammas(self) -> dict[str, float]:
         return {n: float(sigmoid(g)) for n, g in self.gamma_raw.items()}
@@ -151,7 +152,7 @@ class StreamCarry:
     pending: dict[str, np.ndarray]
 
     @staticmethod
-    def fresh(model: Model, mask: tuple[str, ...] | None = None) -> "StreamCarry":
+    def fresh(model: Model, mask: Iterable[str] | None = None) -> "StreamCarry":
         """The carry at the start of a stream, for the fast tensors in mask
         (the model's own mask by default)."""
         mem = (bb.SegmentMemory.empty(model.config.backbone)
@@ -190,9 +191,9 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
         A vector's term is the exclusive cumsum of its rows (from the stream
         accumulator on); a matrix's is causal linear attention of queries q
         over its slow keys and rows, whose query gradient adds into d_q."""
-        if name not in steps.mask:
+        if name not in steps:
             return
-        d_term = -steps.alpha[name] * d_x
+        d_term = -steps[name] * d_x
         if name in hd.KEYS:
             dalpha[name] = -float((d_x * fast.att[name]).sum())
             init = KVState(state[name]) if state is not None else None
@@ -209,7 +210,7 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     dLG_f = fast.probs.copy()
     dLG_f[np.arange(T), tape.targets] -= 1.0
     dLG_f *= w
-    dH = _head_reverse(head, fast, dhead, dLG_f, fast_term)
+    dH = _head_reverse(head, fast, dhead, dLG_f, tap=fast_term)
     if "h" in dkeys:
         dH += dkeys["h"]  # U's keys are the same context vectors
 
@@ -224,25 +225,18 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     dGo += dGv @ head.W
     dhead["W"] += dGv.T @ grads.g_o
 
-    # g_ln_gain = g_u * xhat
-    dGu += dGg * tape.xhat
-    dXH = dGg * grads.g_u
-
-    # g_o = istd * (dxh - mean(dxh) - xhat * mean(dxh*xhat)), dxh = g_u * gain
+    # g_ln_gain = g_u * xhat, and g_o = layernorm_bwd((xhat, istd, gain), g_u):
+    # reverse g_o's linear map of dxh = g_u * gain, its istd factor and its
+    # two xhat terms, then carry istd's and xhat's gradients to pre-LN rows
     dxh_s = grads.g_u * head.ln_gain
-    m1s = dxh_s.mean(axis=1, keepdims=True)
-    m2s = (dxh_s * tape.xhat).mean(axis=1, keepdims=True)
-    inner = dxh_s - m1s - tape.xhat * m2s
-    dISTD = (dGo * inner).sum(axis=1, keepdims=True)
+    ddxh = layernorm_bwd((tape.xhat, tape.istd, 1.0), dGo)[0]
+    dISTD = (dGo * grads.g_o).sum(axis=1, keepdims=True) / tape.istd
     dinner = dGo * tape.istd
-    ddxh = dinner.copy()
-    dm1 = -dinner.sum(axis=1, keepdims=True)
-    dm2 = -(dinner * tape.xhat).sum(axis=1, keepdims=True)
-    dXH += -dinner * m2s
-    ddxh += (dm2 / d) * tape.xhat
-    dXH += (dm2 / d) * dxh_s
-    ddxh += dm1 / d
-    dGu += ddxh * head.ln_gain
+    dXH = (dGg * grads.g_u - dinner * (dxh_s * tape.xhat).mean(axis=1, keepdims=True)
+           - dxh_s * (dinner * tape.xhat).mean(axis=1, keepdims=True))
+    dP = (layernorm_bwd((tape.xhat, tape.istd, 1.0), dXH)[0]
+          - tape.xhat * (tape.istd ** 2 * dISTD / d))
+    dGu += dGg * tape.xhat + ddxh * head.ln_gain
     dhead["ln_gain"] += (ddxh * grads.g_u).sum(axis=0)
 
     # g_u = g_logits E^T
@@ -253,21 +247,20 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     p = tape.probs
     dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
 
-    dH += _head_reverse(head, tape, dhead, dLG_s,
-                        dUo=dkeys.get("u", 0.0), dXH=dXH, dISTD=dISTD,
-                        dVs=dkeys.get("v", 0.0), dZ=dZ_slow)
+    dZ_slow += dkeys.get("v", 0.0) * tape.relu_mask
+    dH += _head_reverse(head, tape, dhead, dLG_s, dkeys.get("u", 0.0), dP, dZ_slow)
     return dhead, dalpha, ddelta, dH
 
 
-def _head_reverse(head: hd.HeadParams, acts: hd.PositionTape, dhead, dLG, tap=None,
-                  dUo=0.0, dXH=0.0, dISTD=0.0, dVs=0.0, dZ=0.0):
+def _head_reverse(head: hd.HeadParams, acts: hd.PositionTape, dhead, dLG, dUo=0.0,
+                  dP=0.0, dZ=0.0, tap=None):
     """Reverse of the head's layers (E/c, LayerNorm, b, W, squared ReLU, U/a)
     over the pass whose tape is `acts` (slow or fast), for gradients on its logits
-    (dLG), LayerNorm output (dUo), normalised rows (dXH), inverse std
-    (dISTD), squared-ReLU output (dVs) and pre-activation (dZ). Adds each
-    tensor's slow gradient into dhead, calls tap(name, d_x) with d_x the
-    gradient on the tensor's output (a matrix adds q, its input, and d_q,
-    q's gradient, which tap may add into) and returns the gradient w.r.t. h."""
+    (dLG) and, beside the logits' paths, on its LayerNorm output (dUo),
+    LayerNorm input (dP) and pre-activation (dZ). Adds each tensor's slow
+    gradient into dhead, calls tap(name, d_x) with d_x the gradient on the
+    tensor's output (a matrix adds q, its input, and d_q, q's gradient, which
+    tap may add into) and returns the gradient w.r.t. h."""
     tap = tap or (lambda *args: None)
     dhead["c"] += dLG.sum(axis=0)
     dhead["E"] += acts.u.T @ dLG
@@ -279,14 +272,11 @@ def _head_reverse(head: hd.HeadParams, acts: hd.PositionTape, dhead, dLG, tap=No
     dhead["ln_bias"] += dU.sum(axis=0)
     tap("ln_gain", dG)
     tap("ln_bias", dU)
-    # xhat's path (which also runs through istd) by the LayerNorm backward,
-    # then istd's direct path: d istd / d pre_ln = -istd^2 * xhat / d
-    dP, _, _ = layernorm_bwd((acts.xhat, acts.istd, 1.0), dXH + dU * acts.gain)
-    dP -= acts.xhat * (acts.istd ** 2 * dISTD / acts.xhat.shape[1])
+    dP = dP + layernorm_bwd((acts.xhat, acts.istd, 1.0), dU * acts.gain)[0]
     dhead["b"] += dP.sum(axis=0)
     tap("b", dP)
     dhead["W"] += acts.v.T @ dP
-    dV = dVs + dP @ head.W.T
+    dV = dP @ head.W.T
     tap("W", dP, acts.v, dV)
     dZ = dZ + dV * acts.relu_mask
     dhead["U"] += acts.h.T @ dZ
@@ -533,25 +523,25 @@ def score_streams(model: Model, streams, steps: hd.StepSizes) -> list[np.ndarray
 
     A StreamCarry threads backbone memory and fast state across the segments
     of a stream, as in streaming training, and restarts with each stream.
-    With an empty steps.mask these are the slow losses, else the fast-pass
-    losses under those step sizes.
+    With empty steps these are the slow losses, else the fast-pass losses
+    under those step sizes.
     """
     gammas = model.gammas()
     nll_streams = []
     for stream in streams:
         nlls = []
-        carry = StreamCarry.fresh(model, steps.mask)
+        carry = StreamCarry.fresh(model, steps)
         for i, (tokens, targets) in enumerate(stream):
             H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
                                                 backward=False)
             tape, losses = hd.slow_forward(model.head, H, targets)
             state, pending = carry.state(gammas), {}
-            if steps.mask:
+            if steps:
                 grads = hd.per_position_grads(model.head, tape)
                 losses = hd.fast_forward(model.head, steps, H, tape, grads, state=state,
                                          chunk_size=model.config.chunk_size).losses
                 if i + 1 < len(stream):  # the last segment's sums have no reader
-                    pending = hd.segment_grad_sums(tape, grads, steps.mask)
+                    pending = hd.segment_grad_sums(tape, grads, steps)
             nlls.append(losses)
             carry = StreamCarry(memory, state, pending)
         nll_streams.append(np.concatenate(nlls) if nlls else np.zeros(0))
@@ -681,8 +671,7 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
             }
             if (step + 1) % config.eval_every == 0 or step + 1 == config.total_steps:
                 # every dev window is scored as its own stream
-                steps = (hd.StepSizes({}, ()) if config.mode == "slow-only"
-                         else model.step_sizes())
+                steps = {} if config.mode == "slow-only" else model.step_sizes()
                 nlls = score_streams(model, dev_streams, steps)
                 dev_nll = sum(float(n.sum()) for n in nlls) / max(sum(n.size for n in nlls), 1)
                 record["dev_nll"] = dev_nll

@@ -42,7 +42,7 @@ def test_criterion_1_oracle_equivalence():
         targets = rng.integers(0, vocab, size=T)
         alphas = {n: float(a) for n, a in zip(
             hd.TENSOR_NAMES, 0.05 * rng.uniform(-1, 1, 8))}
-        steps = hd.StepSizes(alphas, mask)
+        steps = {n: alphas[n] for n in mask}
         tape, _ = hd.slow_forward(head, H, targets)
         grads = hd.per_position_grads(head, tape)
         fast = hd.fast_forward(head, steps, H, tape, grads, chunk_size=16)
@@ -190,7 +190,7 @@ def test_criterion_5_identity_reductions():
     targets = rng.integers(0, corpus.vocab_size, size=12)
     tape, slow_losses = hd.slow_forward(model2.head, H, targets)
     grads = hd.per_position_grads(model2.head, tape)
-    empty = hd.fast_forward(model2.head, hd.StepSizes.uniform(0.5, ()), H, tape, grads)
+    empty = hd.fast_forward(model2.head, {}, H, tape, grads)
     assert np.array_equal(empty.losses, slow_losses)
     assert np.array_equal(empty.logits, tape.logits)
 
@@ -207,10 +207,9 @@ def test_criterion_5_identity_reductions():
 def test_criterion_6_scoring_generation_consistency():
     rng = np.random.default_rng(21)
     head = hd.init_head(10, 8, 9, seed=21)
-    steps = hd.StepSizes({n: float(a) for n, a in zip(
-        hd.TENSOR_NAMES, 0.04 * rng.uniform(-1, 1, 8))})
+    steps = {n: float(a) for n, a in zip(hd.TENSOR_NAMES, 0.04 * rng.uniform(-1, 1, 8))}
     H = rng.normal(size=(24, 10))
-    offsets = {n: np.zeros(head.tensor(n).shape) for n in steps.mask}
+    offsets = {n: np.zeros(head.tensor(n).shape) for n in steps}
     tokens, gen_losses = [], []
     for t in range(H.shape[0]):
         out = hd.generate_step(head, steps, offsets, H[t], 0.7, rng)

@@ -35,9 +35,9 @@ def test_param_count_matches_hand_count():
                       max_seq_len=5)
     params = bb.init_backbone(cfg)
     total = sum(v.size for _, v in params.named())
-    # hand count: emb 7*4 + pos 5*4 + [ln1 8, qkv/o 4*(16+4), ln2 8,
-    # ff 4*6+6 + 6*4+4] + final ln 8
-    hand = 28 + 20 + (8 + 80 + 8 + 30 + 28) + 8
+    # hand count: emb 7*4 + pos 5*4 + [ln1 8, qkv/o weights 4*16 and q/v/o
+    # biases 3*4 (no key bias), ln2 8, ff 4*6+6 + 6*4+4] + final ln 8
+    hand = 28 + 20 + (8 + 76 + 8 + 30 + 28) + 8
     assert total == hand
 
 
@@ -84,7 +84,7 @@ def _encode_loop_reference(params, tokens, mems):
         M = mem.shape[0]
         y = _ln_ref(np.vstack([mem, x]), lp.ln1_g, lp.ln1_b)
         q = y[M:] @ lp.wq + lp.bq
-        k = y @ lp.wk + lp.bk
+        k = y @ lp.wk
         v = y @ lp.wv + lp.bv
         ctx = np.zeros((T, cfg.d_model))
         for h in range(cfg.n_heads):

@@ -6,6 +6,7 @@ import os
 import tempfile
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,36 @@ def test_checkpoint_with_deleted_train_options_loads():
     snap = _load(_with_meta(old))
     assert snap.train_config == tr.TrainConfig()
     assert snap.step == 3 and snap.opt_state["t"] == 0
+
+
+def test_checkpoint_with_backbone_key_biases_loads(tmp_path, monkeypatch):
+    # files written before the backbone's key bias was dropped hold
+    # bb.layers.*.bk tensors and their Adam moments; loading ignores both
+    rng = np.random.default_rng(0)
+    model = tr.init_model(tr.ModelConfig(
+        bb.BackboneConfig(vocab_size=5, d_model=4, n_layers=2, n_heads=2, d_ff=8,
+                          max_seq_len=4), d_hidden=4, chunk_size=2))
+    for key, v in list(model.named_params()):
+        model.set(key, v + rng.normal(size=np.shape(v)))
+    opt = tr.zero_opt_state(model)
+    opt = {"m": {k: rng.normal(size=np.shape(v)) for k, v in opt["m"].items()},
+           "v": {k: rng.random(np.shape(v)) for k, v in opt["v"].items()}, "t": 5}
+    bk = {f"bb.layers.{i}.bk": rng.normal(size=4) for i in range(2)}
+    save_checkpoint(tmp_path / "new.ckpt", model, None, opt, 5, None)
+    named_params = tr.Model.named_params
+    with monkeypatch.context() as m:
+        m.setattr(tr.Model, "named_params", lambda self: [*named_params(self), *bk.items()])
+        save_checkpoint(tmp_path / "old.ckpt", model, None,
+                        {"m": {**opt["m"], **bk}, "v": {**opt["v"], **bk}, "t": 5}, 5, None)
+    new, old = load_checkpoint(tmp_path / "new.ckpt"), load_checkpoint(tmp_path / "old.ckpt")
+    params = [(k, v.tobytes()) for k, v in model.named_params()]
+    assert [(k, v.tobytes()) for k, v in old.model.named_params()] == params
+    assert [(k, v.tobytes()) for k, v in new.model.named_params()] == params
+    for part in "mv":
+        assert old.opt_state[part].keys() == new.opt_state[part].keys() == opt[part].keys()
+        for k, v in opt[part].items():
+            assert old.opt_state[part][k].tobytes() == v.tobytes(), (part, k)
+    assert old.opt_state["t"] == new.opt_state["t"] == 5
 
 
 _DROP = object()

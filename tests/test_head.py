@@ -18,7 +18,7 @@ def make_instance(seed, T=6, d=4, m=5, vocab=7, mask=hd.MASK_ALL, alpha_scale=0.
     targets = rng.integers(0, vocab, size=T)
     alphas = {n: float(a) for n, a in
               zip(hd.TENSOR_NAMES, alpha_scale * rng.uniform(0.2, 1.0, 8) * rng.choice([-1, 1], 8))}
-    steps = hd.StepSizes(alphas, tuple(mask))
+    steps = {n: alphas[n] for n in mask}
     return head, steps, H, targets
 
 
@@ -91,7 +91,7 @@ def test_rank_one_identity_all_matrices(name, inp):
 
 def test_fast_forward_zero_alpha_is_identity():
     head, _, H, targets = make_instance(5, T=9)
-    steps = hd.StepSizes.uniform(0.0)
+    steps = dict.fromkeys(hd.MASK_ALL, 0.0)
     tape, losses = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
     fast = hd.fast_forward(head, steps, H, tape, grads)
@@ -104,7 +104,7 @@ def test_fast_forward_zero_alpha_is_identity():
 
 def test_fast_forward_empty_mask_is_slow_path():
     head, steps, H, targets = make_instance(6, T=5)
-    steps = hd.StepSizes(steps.alpha, ())
+    steps = {}
     tape, losses = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
     fast = hd.fast_forward(head, steps, H, tape, grads)
@@ -172,10 +172,10 @@ def test_stream_state_gamma_zero_is_segment_sum():
     head, steps, H, targets = make_instance(11, T=6)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    state = zero_state(head, steps.mask)
+    state = zero_state(head, steps)
     state["c"][:] = 99.0
-    sums = hd.segment_grad_sums(tape, grads, steps.mask)
-    new = hd.update_stream_state(state, sums, {n: 0.0 for n in steps.mask})
+    sums = hd.segment_grad_sums(tape, grads, steps)
+    new = hd.update_stream_state(state, sums, {n: 0.0 for n in steps})
     np.testing.assert_allclose(new["c"], grads.g_logits.sum(axis=0))
     np.testing.assert_allclose(new["U"], tape.h.T @ grads.g_z)
 
@@ -186,11 +186,11 @@ def test_stream_state_gamma_one_zero_grads_identity():
     grads = hd.per_position_grads(head, tape)
     zero_grads = hd.PositionGrads(*(np.zeros_like(x) for x in
                                     (grads.g_logits, grads.g_u, grads.g_o, grads.g_z, grads.g_ln_gain)))
-    state = zero_state(head, steps.mask)
+    state = zero_state(head, steps)
     for k in state:
         state[k] += 1.5
-    sums = hd.segment_grad_sums(tape, zero_grads, steps.mask)
-    new = hd.update_stream_state(state, sums, {n: 1.0 for n in steps.mask})
+    sums = hd.segment_grad_sums(tape, zero_grads, steps)
+    new = hd.update_stream_state(state, sums, {n: 1.0 for n in steps})
     for k in state:
         np.testing.assert_allclose(new[k], state[k])
 
@@ -203,12 +203,12 @@ def test_streaming_segments_match_concatenated_pass():
     full = hd.fast_forward(head, steps, H, tape, grads).losses
 
     cut = 6
-    state = zero_state(head, steps.mask)
+    state = zero_state(head, steps)
     t1, _ = hd.slow_forward(head, H[:cut], targets[:cut])
     g1 = hd.per_position_grads(head, t1)
     seg1 = hd.fast_forward(head, steps, H[:cut], t1, g1, state=state).losses
-    state = hd.update_stream_state(state, hd.segment_grad_sums(t1, g1, steps.mask),
-                                   {n: 1.0 for n in steps.mask})
+    state = hd.update_stream_state(state, hd.segment_grad_sums(t1, g1, steps),
+                                   {n: 1.0 for n in steps})
     t2, _ = hd.slow_forward(head, H[cut:], targets[cut:])
     g2 = hd.per_position_grads(head, t2)
     seg2 = hd.fast_forward(head, steps, H[cut:], t2, g2, state=state).losses
@@ -219,7 +219,7 @@ def test_stream_state_shape_mismatch():
     head, steps, H, targets = make_instance(14, T=3)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    state = zero_state(head, steps.mask)
+    state = zero_state(head, steps)
     state["U"] = np.zeros((2, 2))
     with pytest.raises(nm.StateError):
         hd.fast_forward(head, steps, H, tape, grads, state=state)
@@ -227,8 +227,8 @@ def test_stream_state_shape_mismatch():
 
 def test_generate_step_zero_alpha_matches_slow_sampling():
     head, _, H, _ = make_instance(15, T=1)
-    steps = hd.StepSizes.uniform(0.0)
-    offsets = zero_state(head, steps.mask)
+    steps = dict.fromkeys(hd.MASK_ALL, 0.0)
+    offsets = zero_state(head, steps)
     out = hd.generate_step(head, steps, offsets, H[0], 1.0, np.random.default_rng(42))
     tape, _ = hd.slow_forward(head, H, [0])
     expected = hd.sample_token(tape.logits[0], 1.0, np.random.default_rng(42))
@@ -244,7 +244,7 @@ def test_generate_step_makes_one_slow_pass_and_no_kernel_call(monkeypatch):
         fn = getattr(mod, name)
         monkeypatch.setattr(mod, name,
                             lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
-    offsets, rng = zero_state(head, steps.mask), np.random.default_rng(0)
+    offsets, rng = zero_state(head, steps), np.random.default_rng(0)
     for h in H:
         offsets = hd.generate_step(head, steps, offsets, h, 1.0, rng).offsets
     assert calls == ["slow_forward"] * len(H)
@@ -265,7 +265,7 @@ def test_generation_scoring_consistency():
     # teacher-forcing the sampled tokens reproduces the generator's losses
     head, steps, H, _ = make_instance(16, T=10, d=5, m=4, vocab=6)
     rng = np.random.default_rng(7)
-    offsets = zero_state(head, steps.mask)
+    offsets = zero_state(head, steps)
     tokens, gen_losses = [], []
     for t in range(H.shape[0]):
         out = hd.generate_step(head, steps, offsets, H[t], 0.8, rng)

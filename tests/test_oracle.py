@@ -10,7 +10,7 @@ from test_head import make_instance
 
 def test_zero_alpha_equals_slow_losses():
     head, _, H, targets = make_instance(20, T=7)
-    steps = hd.StepSizes.uniform(0.0)
+    steps = dict.fromkeys(hd.MASK_ALL, 0.0)
     _, slow = hd.slow_forward(head, H, targets)
     np.testing.assert_allclose(oracle.sequential_fast_forward(head, steps, H, targets),
                                slow, atol=1e-12)

@@ -7,6 +7,7 @@ from fastweight import backbone as bb
 from fastweight import harness as hn
 from fastweight import head as hd
 from fastweight import linear_attention as la
+from fastweight import numerics as nm
 from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
@@ -146,7 +147,7 @@ def test_empty_mask_fast_vjp_is_the_slow_vjp(T, d, m, vocab, w):
         t += 0.3 * rng.normal(size=t.shape)
     H = rng.normal(size=(T, d))
     tape, _ = hd.slow_forward(head, H, rng.integers(0, vocab, size=T))
-    steps = hd.StepSizes({}, ())
+    steps = {}
     grads = hd.per_position_grads(head, tape)
     fast = hd.fast_forward(head, steps, H, tape, grads, chunk_size=4)
     dhead, dalpha, ddelta, dH = tr.head_fast_vjp(head, steps, H, tape, grads, fast,
@@ -156,6 +157,47 @@ def test_empty_mask_fast_vjp_is_the_slow_vjp(T, d, m, vocab, w):
     for name in hd.TENSOR_NAMES:
         assert np.array_equal(dhead[name], dhead_slow[name]), name
     assert np.array_equal(dH, dH_slow)
+
+
+def test_fast_vjp_matches_central_differences():
+    # every tensor fast, a carried stream state, a LayerNorm gain away from 1
+    # and w != 1, so each path of the second-order tail carries signal
+    rng = np.random.default_rng(5)
+    T, d, m, vocab, w = 9, 5, 6, 7, 0.3
+    head = hd.init_head(d, m, vocab, seed=5)
+    for _, t in head.named():
+        t += 0.3 * rng.normal(size=t.shape)
+    H = rng.normal(size=(T, d))
+    targets = rng.integers(0, vocab, size=T)
+    steps = {n: float(a) for n, a in zip(hd.TENSOR_NAMES, rng.uniform(-0.3, 0.3, 8))}
+    state = {n: 0.3 * rng.normal(size=t.shape) for n, t in head.named()}
+
+    def passes():
+        tape, _ = hd.slow_forward(head, H, targets)
+        grads = hd.per_position_grads(head, tape)
+        return tape, grads, hd.fast_forward(head, steps, H, tape, grads, state, chunk_size=4)
+
+    def objective(_):  # finite_diff_grad perturbs the array in place
+        return w * float(passes()[2].losses.sum())
+
+    def step_objective(name):
+        def f(x):
+            steps[name] = float(x[0])
+            return objective(x)
+        return f
+
+    dhead, dalpha, ddelta, dH = tr.head_fast_vjp(head, steps, H, *passes(), state, 4, w)
+    checks = [(f"head.{n}", dhead[n], nm.finite_diff_grad(objective, t)) for n, t in head.named()]
+    checks.append(("H", dH, nm.finite_diff_grad(objective, H)))
+    for n in hd.TENSOR_NAMES:
+        checks.append((f"delta.{n}", ddelta[n], nm.finite_diff_grad(objective, state[n])))
+        alpha = steps[n]
+        checks.append((f"alpha.{n}", dalpha[n],
+                       nm.finite_diff_grad(step_objective(n), np.array([alpha]))[0]))
+        steps[n] = alpha
+    for name, analytic, fd in checks:
+        err = np.abs(analytic - fd).max() / np.abs(fd).max()
+        assert err < 1e-6, (name, err)
 
 
 def test_alpha_gradient_present_only_for_masked_tensors():
@@ -363,7 +405,7 @@ def test_fit_dev_nll_scores_each_window_as_its_own_stream(mode):
     res = tr.fit(Corpus(corpus.documents[:-3], tok), cfg, mc,
                  dev_corpus=Corpus([dev_doc], tok))
     model = res.model
-    steps = model.step_sizes() if mode == "full" else hd.StepSizes.uniform(0.0, ())
+    steps = model.step_sizes() if mode == "full" else {}
     ref = []
     for s in range(0, len(dev_doc) - 1, seq_len):
         window = dev_doc[s:s + seq_len + 1]
