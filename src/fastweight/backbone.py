@@ -10,7 +10,7 @@ Forward passes keep full caches so the backward is an exact hand-written VJP;
 inputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 usage/config error, 2 I/O error, 3 numerical failure.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -15,10 +14,9 @@ import numpy as np
 
 from . import backbone as bb
 from . import harness, head, oracle
-from . import linear_attention as la
 from . import training as tr
-from .checkpoint import CheckpointData, load_checkpoint
-from .corpus import Corpus, TokenizerSpec, ingest
+from .checkpoint import load_checkpoint
+from .corpus import ingest
 from .numerics import ConfigError, InputError, NumericalError, ShapeError, StateError
 
 
@@ -100,7 +98,8 @@ def _build_parser():
 
     v = sub.add_parser("verify", help="oracle, kernel and generation consistency suites")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--instances", type=int, default=20)
+    v.add_argument("--instances", type=int, default=30,
+                   help="oracle instances; 30 reach every (T, d, vocab) case")
     return p
 
 
@@ -269,80 +268,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.instances < 1:
-        raise ConfigError(f"instances must be >= 1, got {args.instances}")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    masks = [head.MASK_BIAS_ONLY, head.MASK_VECTORS, head.MASK_MATRICES, head.MASK_ALL]
-    worst = 0.0
-    for i in range(args.instances):
-        T = int(rng.choice([1, 2, 17, 64]))
-        d = int(rng.choice([4, 16]))
-        vocab = int(rng.choice([3, 17]))
-        params = head.init_head(d, d, vocab, seed=int(rng.integers(1 << 30)))
-        H = rng.normal(size=(T, d))
-        targets = rng.integers(0, vocab, size=T)
-        alphas = {n: float(a) for n, a in zip(
-            head.TENSOR_NAMES, 0.05 * rng.uniform(-1, 1, 8))}
-        steps = {n: alphas[n] for n in masks[i % 4]}
-        tape, _ = head.slow_forward(params, H, targets)
-        grads = head.per_position_grads(params, tape)
-        fast = head.fast_forward(params, steps, H, tape, grads, chunk_size=16)
-        ref = oracle.sequential_fast_forward(params, steps, H, targets)
-        worst = max(worst, float(np.abs(fast.losses - ref).max()))
-    check(f"oracle equivalence over {args.instances} instances "
-          f"(max abs err {worst:.2e})", worst < 1e-9)
-
-    worst = 0.0
-    for T in (1, 2, 17, 257):
-        q = rng.normal(size=(T, 8))
-        k = rng.normal(size=(T, 8))
-        v = rng.normal(size=(T, 5))
-        ref, _ = la.causal_linear_attention(q, k, v)
-        for chunk in (1, 7, 64, T):
-            got, _ = la.chunked_causal_linear_attention(q, k, v, chunk)
-            worst = max(worst, float(np.abs(got - ref).max()))
-    check(f"chunked attention exactness (max abs err {worst:.2e})", worst < 1e-10)
-
-    q = rng.normal(size=(40, 6))
-    k = rng.normal(size=(40, 6))
-    v = rng.normal(size=(40, 6))
-    whole, ws = la.causal_linear_attention(q, k, v)
-    a, mid = la.causal_linear_attention(q[:17], k[:17], v[:17])
-    b, end = la.causal_linear_attention(q[17:], k[17:], v[17:], mid)
-    err = max(float(np.abs(np.vstack([a, b]) - whole).max()),
-              float(np.abs(end.accumulator - ws.accumulator).max()))
-    check(f"kv-state additivity (max abs err {err:.2e})", err < 1e-10)
-
-    # a tiny random model with segment memory, sampled across three segments
-    vocab = 7
-    tok = TokenizerSpec("word", [f"w{i}" for i in range(vocab)])
-    model = tr.init_model(tr.ModelConfig(
-        bb.BackboneConfig(vocab_size=vocab, d_model=8, n_layers=2, n_heads=2, d_ff=16,
-                          max_seq_len=8, memory_len=3, seed=args.seed),
-        d_hidden=8, chunk_size=4))
-    for n in head.TENSOR_NAMES:
-        model.alpha[n] = np.float64(rng.uniform(0.1, 0.5))
-        model.gamma_raw[n] = np.float64(rng.normal())
-    ckpt = CheckpointData(model, None, tok, None, 0)
-    prompt = rng.integers(0, vocab, size=5)
-    worst = 0.0
-    for variant in ("fwl", "baseline"):
-        gen = harness.generate_ids(model, prompt, 20, seed=args.seed, variant=variant)
-        scored = harness.score(ckpt, Corpus([np.array(gen.ids)], tok), variant)
-        worst = max(worst, float(np.abs(scored.nll_docs[0][len(prompt) - 1:]
-                                        - gen.fast_losses).max()))
-    check(f"generation/scoring consistency (max abs err {worst:.2e})", worst < 1e-9)
-
+    checks = oracle.verify(args.seed, args.instances)
+    for c in checks:
+        print(f"{'PASS' if c.ok else 'FAIL'}  {c.name} "
+              f"(max abs err {c.err:.2e}, bound {c.bound:.0e})")
+    failures = sum(not c.ok for c in checks)
     if failures:
         print(f"{failures} verification check(s) failed")
     return 3 if failures else 0

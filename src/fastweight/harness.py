@@ -14,7 +14,7 @@ from . import head as hd
 from . import linear_attention as la
 from .checkpoint import CheckpointData
 from .corpus import UNK, Corpus, token_frequencies
-from .numerics import ConfigError
+from .numerics import ConfigError, NumericalError
 # head_slow_vjp is not called here; perfbench's spans.WRAPPED wraps harness.head_slow_vjp
 from .training import (Model, StreamCarry, doc_segments, head_slow_vjp,  # noqa: F401
                        score_streams, sequence_loss_and_grads)
@@ -88,17 +88,27 @@ def score(ckpt: CheckpointData, corpus: Corpus, variant: str = "baseline",
     return _score_result(nll_docs, time.perf_counter() - t0)
 
 
-def tune_global_step(ckpt: CheckpointData, dev_corpus: Corpus, grid) -> tuple[float, float]:
-    """Grid-search the single test-time step size; ties go to the smaller step."""
+def _grid_search(grid, perplexity_at) -> tuple[float, float]:
+    """The step of grid with the lowest perplexity_at(step), and that
+    perplexity. The grid is searched in sorted order and ties go to the
+    smaller step; a grid with no finite perplexity is a numerical failure."""
     grid = sorted(float(g) for g in grid)
     if not grid:
-        raise ConfigError("tune_global_step needs a non-empty grid")
+        raise ConfigError("a step-size grid must not be empty")
     best_step, best_ppl = None, np.inf
     for g in grid:
-        ppl = score(ckpt, dev_corpus, "test-time-only", global_step=g).perplexity
+        ppl = perplexity_at(g)
         if ppl < best_ppl:
             best_step, best_ppl = g, ppl
+    if best_step is None:
+        raise NumericalError(f"no step in the grid {grid} gives a finite perplexity")
     return best_step, best_ppl
+
+
+def tune_global_step(ckpt: CheckpointData, dev_corpus: Corpus, grid) -> tuple[float, float]:
+    """Grid-search the single test-time step size (see _grid_search)."""
+    return _grid_search(grid, lambda g: score(ckpt, dev_corpus, "test-time-only",
+                                              global_step=g).perplexity)
 
 
 def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
@@ -184,11 +194,8 @@ def ablate(checkpoints: dict[str, CheckpointData], corpus: Corpus,
     res = score(checkpoints["bias"], corpus, "bias-only")
     rows.append(AblationRow("Bias only", res.perplexity, res.tokens_per_sec))
 
-    best_dyn, best_ppl = None, np.inf
-    for g in dyneval_steps:
-        ppl = dynamic_evaluate(checkpoints["slow"], dev, g, dyneval_chunk).perplexity
-        if ppl < best_ppl:
-            best_dyn, best_ppl = g, ppl
+    best_dyn, _ = _grid_search(dyneval_steps, lambda g: dynamic_evaluate(
+        checkpoints["slow"], dev, g, dyneval_chunk).perplexity)
     res = dynamic_evaluate(checkpoints["slow"], corpus, best_dyn, dyneval_chunk)
     rows.append(AblationRow("Dynamic Evaluation", res.perplexity, res.tokens_per_sec,
                             f"step={best_dyn:g} chunk={dyneval_chunk}"))

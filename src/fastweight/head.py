@@ -22,7 +22,7 @@ from .numerics import (
     StateError,
     as_f64,
     exclusive_cumsum_rows,
-    layernorm_bwd,
+    layernorm_dx,
     layernorm_fwd,
     relu2,
     softmax,
@@ -216,7 +216,7 @@ def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:
     g_logits = tape.probs.copy()
     g_logits[np.arange(T), tape.targets] -= 1.0
     g_u = g_logits @ head.E.T
-    g_o, _, _ = layernorm_bwd((tape.xhat, tape.istd, head.ln_gain), g_u)
+    g_o = layernorm_dx((tape.xhat, tape.istd, head.ln_gain), g_u)
     g_ln_gain = g_u * tape.xhat
     g_v = g_o @ head.W.T
     g_z = g_v * tape.relu_mask

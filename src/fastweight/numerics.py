@@ -48,7 +48,8 @@ def layernorm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float 
     """Normalize the last axis: y = gain * (x - mean) / sqrt(var + eps) + bias.
 
     Works on (d,) vectors or (T, d) rows, with (d,) or per-row (T, d) gain and
-    bias. Returns (y, cache), cache = (xhat, istd, gain) for layernorm_bwd.
+    bias. Returns (y, cache), cache = (xhat, istd, gain) for layernorm_bwd and
+    layernorm_dx.
     """
     x = as_f64(x)
     gain = as_f64(gain)
@@ -67,13 +68,9 @@ def layernorm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float 
     return gain * xhat + bias, (xhat, istd, gain)
 
 
-def layernorm_bwd(cache, dy: np.ndarray):
-    """Exact gradients for layernorm_fwd. Returns (dx, dgain, dbias).
-
-    For row inputs dgain/dbias are summed over rows. The dx formula folds the
-    mean and variance paths: dx = istd * (dxh - mean(dxh) - xhat * mean(dxh*xhat))
-    with dxh = dy * gain.
-    """
+def layernorm_dx(cache, dy: np.ndarray) -> np.ndarray:
+    """layernorm_bwd's dx alone, folding the mean and variance paths:
+    dx = istd * (dxh - mean(dxh) - xhat * mean(dxh*xhat)) with dxh = dy * gain."""
     xhat, istd, gain = cache
     dy = as_f64(dy)
     if dy.shape != xhat.shape:
@@ -82,14 +79,17 @@ def layernorm_bwd(cache, dy: np.ndarray):
     d = dxh.shape[-1]
     m1 = dxh.sum(axis=-1, keepdims=True) / d
     m2 = (dxh * xhat).sum(axis=-1, keepdims=True) / d
-    dx = istd * (dxh - m1 - xhat * m2)
+    return istd * (dxh - m1 - xhat * m2)
+
+
+def layernorm_bwd(cache, dy: np.ndarray):
+    """Exact gradients for layernorm_fwd: (dx, dgain, dbias), dx by
+    layernorm_dx. For row inputs dgain/dbias are summed over rows."""
+    dx = layernorm_dx(cache, dy)
+    dy = as_f64(dy)
     if dy.ndim == 1:
-        dgain = dy * xhat
-        dbias = dy.copy()
-    else:
-        dgain = (dy * xhat).sum(axis=0)
-        dbias = dy.sum(axis=0)
-    return dx, dgain, dbias
+        return dx, dy * cache[0], dy.copy()
+    return dx, (dy * cache[0]).sum(axis=0), dy.sum(axis=0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from . import backbone as bb
 from . import head as hd
 from .corpus import Corpus
 from .linear_attention import KVState, causal_linear_attention_vjp
-from .numerics import (ConfigError, NumericalError, layernorm_bwd,
+from .numerics import (ConfigError, NumericalError, layernorm_dx,
                        reverse_exclusive_cumsum_rows)
 
 MODES = ("full", "slow-only", "fwl-finetune")
@@ -225,16 +225,16 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     dGo += dGv @ head.W
     dhead["W"] += dGv.T @ grads.g_o
 
-    # g_ln_gain = g_u * xhat, and g_o = layernorm_bwd((xhat, istd, gain), g_u):
+    # g_ln_gain = g_u * xhat, and g_o = layernorm_dx((xhat, istd, gain), g_u):
     # reverse g_o's linear map of dxh = g_u * gain, its istd factor and its
     # two xhat terms, then carry istd's and xhat's gradients to pre-LN rows
     dxh_s = grads.g_u * head.ln_gain
-    ddxh = layernorm_bwd((tape.xhat, tape.istd, 1.0), dGo)[0]
+    ddxh = layernorm_dx((tape.xhat, tape.istd, 1.0), dGo)
     dISTD = (dGo * grads.g_o).sum(axis=1, keepdims=True) / tape.istd
     dinner = dGo * tape.istd
     dXH = (dGg * grads.g_u - dinner * (dxh_s * tape.xhat).mean(axis=1, keepdims=True)
            - dxh_s * (dinner * tape.xhat).mean(axis=1, keepdims=True))
-    dP = (layernorm_bwd((tape.xhat, tape.istd, 1.0), dXH)[0]
+    dP = (layernorm_dx((tape.xhat, tape.istd, 1.0), dXH)
           - tape.xhat * (tape.istd ** 2 * dISTD / d))
     dGu += dGg * tape.xhat + ddxh * head.ln_gain
     dhead["ln_gain"] += (ddxh * grads.g_u).sum(axis=0)
@@ -272,7 +272,7 @@ def _head_reverse(head: hd.HeadParams, acts: hd.PositionTape, dhead, dLG, dUo=0.
     dhead["ln_bias"] += dU.sum(axis=0)
     tap("ln_gain", dG)
     tap("ln_bias", dU)
-    dP = dP + layernorm_bwd((acts.xhat, acts.istd, 1.0), dU * acts.gain)[0]
+    dP = dP + layernorm_dx((acts.xhat, acts.istd, 1.0), dU * acts.gain)
     dhead["b"] += dP.sum(axis=0)
     tap("b", dP)
     dhead["W"] += acts.v.T @ dP

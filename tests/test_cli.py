@@ -34,7 +34,7 @@ def workdir(tmp_path_factory):
 def test_train_wrote_checkpoints_and_metrics(workdir):
     assert os.path.exists(workdir / "run" / "final.ckpt")
     assert os.path.exists(workdir / "run" / "best.ckpt")
-    lines = open(workdir / "run" / "metrics.jsonl").read().splitlines()
+    lines = (workdir / "run" / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 8
     rec = json.loads(lines[0])
     assert {"step", "loss", "ppl", "grad_norm", "alphas", "wall_ms"} <= set(rec)
@@ -59,7 +59,7 @@ def test_score_writes_nll_stream(workdir, tmp_path, capsys):
                "--variant", "fwl", "--nll-out", str(out_file)])
     capsys.readouterr()
     assert rc == 0
-    rows = [json.loads(l) for l in open(out_file)]
+    rows = [json.loads(l) for l in out_file.read_text().splitlines()]
     assert len(rows) == 6
     assert all(x >= 0 for x in rows[0])
 
@@ -137,7 +137,7 @@ def test_analyze_writes_csv(workdir, tmp_path, capsys):
                "--csv", str(out_csv)])
     capsys.readouterr()
     assert rc == 0
-    header = open(out_csv).readline().strip().split(",")
+    header = out_csv.read_text().splitlines()[0].split(",")
     assert header[0] == "family"
 
 

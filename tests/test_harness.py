@@ -8,7 +8,7 @@ from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData
 from fastweight.corpus import Corpus, TokenizerSpec, corpus_from_text, make_entity_corpus
-from fastweight.numerics import ConfigError
+from fastweight.numerics import ConfigError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -415,3 +415,9 @@ def test_test_time_only_zero_step_equals_baseline(small_ckpt):
     base = hn.score(ckpt, corpus, "baseline")
     tto = hn.score(ckpt, corpus, "test-time-only", global_step=0.0)
     assert tto.perplexity == pytest.approx(base.perplexity, abs=1e-12)
+
+
+def test_grid_search_ties_go_to_the_smaller_step_in_any_grid_order():
+    assert hn._grid_search([0.3, 0.1, 0.2], {0.3: 1.0, 0.1: 2.0, 0.2: 1.0}.get) == (0.2, 1.0)
+    with pytest.raises(NumericalError):  # no step to pick
+        hn._grid_search([0.1, 0.2], {0.1: np.inf, 0.2: np.nan}.get)

@@ -351,7 +351,8 @@ def test_fit_reduces_loss_and_resumes_exactly(tmp_path):
                          learning_rate=3e-3, warmup_steps=2, eval_every=6, seed=4)
     out_a = tmp_path / "a"
     res = tr.fit(corpus, cfg, mc, out_dir=out_a)
-    lines = [l for l in open(res.metrics_path)]
+    with open(res.metrics_path) as fh:
+        lines = fh.readlines()
     assert len(lines) == 12
     import json
     first, last = json.loads(lines[0]), json.loads(lines[-1])
@@ -365,7 +366,8 @@ def test_fit_reduces_loss_and_resumes_exactly(tmp_path):
     res_c = tr.fit(corpus, cfg, mc, out_dir=out_c,
                    resume_from=str(out_b / "final.ckpt"))
     import itertools
-    lines_c = [json.loads(l) for l in open(res_c.metrics_path)]
+    with open(res_c.metrics_path) as fh:
+        lines_c = [json.loads(l) for l in fh]
     full = [json.loads(l) for l in lines]
     assert lines_c[-1]["step"] == full[-1]["step"]
     assert abs(lines_c[-1]["loss"] - full[-1]["loss"]) < 1e-10
