@@ -44,6 +44,14 @@ def test_internal_gradient_matches_finite_differences():
         assert rel.max() < 1e-5, name
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_defining_cross_check_random_instances(seed):
+    # The checker passes at seeds other than the ones `fwl verify` and the
+    # acceptance suite use; 6 instances give each mask a T and d of its own.
+    for check in oracle.verify(seed=1000 + seed, instances=6):
+        assert check.ok, check
+
+
 @pytest.mark.parametrize("module, name, perturb, check", [
     (la, "chunked_causal_linear_attention", lambda o: (o[0] + 1e-8, o[1]), "chunked attention"),
     (hd, "fast_forward", lambda t: replace(t, losses=t.losses + 1e-8), "oracle equivalence"),
