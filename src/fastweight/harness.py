@@ -166,13 +166,13 @@ def ablate(checkpoints: dict[str, CheckpointData], corpus: Corpus,
            dyneval_chunk: int = 32) -> list[AblationRow]:
     """The five-way comparison table.
 
-    `checkpoints` must provide "slow" (trained without fast weights) and
-    "fwl"; "bias" (trained with a bias-only mask) is optional but its row
-    errors if missing. Step sizes for the test-time rows are tuned on
-    dev_corpus (the scored corpus when not given, mirroring dev-tuned dev
-    numbers).
+    `checkpoints` must provide "slow" (trained without fast weights), "fwl"
+    and "bias" (trained with a bias-only mask); a missing one is a
+    ConfigError before anything is scored. Step sizes for the test-time rows
+    are tuned on dev_corpus (the scored corpus when not given, mirroring
+    dev-tuned dev numbers).
     """
-    for need in ("slow", "fwl"):
+    for need in ("slow", "fwl", "bias"):
         if need not in checkpoints:
             raise ConfigError(f"ablate is missing the {need!r} checkpoint")
     dev = dev_corpus or corpus
@@ -189,8 +189,6 @@ def ablate(checkpoints: dict[str, CheckpointData], corpus: Corpus,
     rows.append(AblationRow("Test-time only", res.perplexity, res.tokens_per_sec,
                             f"step={best_step:g}"))
 
-    if "bias" not in checkpoints:
-        raise ConfigError("ablate is missing the checkpoint for row 'Bias only'")
     res = score(checkpoints["bias"], corpus, "bias-only")
     rows.append(AblationRow("Bias only", res.perplexity, res.tokens_per_sec))
 

@@ -1,4 +1,5 @@
-"""The fast-weight head: slow pass, per-position gradients, parallel fast pass.
+"""The fast-weight head: slow pass, its one backward (per-position gradients),
+parallel fast pass.
 
 The head is an MLP (hidden layer with squared ReLU, projection, LayerNorm)
 feeding an output softmax. In the fast pass every selected parameter tensor at
@@ -206,21 +207,51 @@ def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape
     return tape, tape.losses
 
 
-def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:
-    """Gradient of each L_t alone w.r.t. the head tensors, as upstream rows.
+def output_grads(tape: PositionTape, w: float = 1.0) -> np.ndarray:
+    """Gradient of w * sum_t L_t w.r.t. the tape's logits: w * (probs - onehot)."""
+    g = tape.probs.copy()
+    g[np.arange(g.shape[0]), tape.targets] -= 1.0
+    g *= w
+    return g
 
-    All T rows come out of one vectorized backward because L_t depends only
-    on h_t; there is no cross-position mixing.
+
+def head_backward(head: HeadParams, tape: PositionTape, d_logits: np.ndarray,
+                  d_u=None, d_o=None, d_z=None, tap=None) -> PositionGrads:
+    """The one reverse of the head's layers E/c, LayerNorm, b, W and squared
+    ReLU over a slow or fast tape, down to the pre-activation.
+
+    The gradients on logits (d_logits) and, beside the logits' paths, on the
+    LayerNorm output (d_u), LayerNorm input (d_o) and pre-activation (d_z)
+    come back as upstream rows, row t being position t's own: each tensor's
+    gradient is segment_grad_sums of them. tap(name, d_x) sees d_x, the
+    gradient on each tensor's output as it is reached; a matrix adds q, its
+    input, and d_q, q's gradient, which tap may add into. Since L_t depends
+    only on h_t, all T rows come out of one vectorized pass.
     """
-    T = tape.h.shape[0]
-    g_logits = tape.probs.copy()
-    g_logits[np.arange(T), tape.targets] -= 1.0
-    g_u = g_logits @ head.E.T
-    g_o = layernorm_dx((tape.xhat, tape.istd, head.ln_gain), g_u)
+    tap = tap or (lambda *args: None)
+    g_u = d_logits @ head.E.T
+    if d_u is not None:
+        g_u = d_u + g_u
+    tap("E", d_logits, tape.u, g_u)
+    tap("c", d_logits)
     g_ln_gain = g_u * tape.xhat
+    tap("ln_gain", g_ln_gain)
+    tap("ln_bias", g_u)
+    g_o = layernorm_dx((tape.xhat, tape.istd, tape.gain), g_u)
+    if d_o is not None:
+        g_o = d_o + g_o
+    tap("b", g_o)
     g_v = g_o @ head.W.T
+    tap("W", g_o, tape.v, g_v)
     g_z = g_v * tape.relu_mask
-    return PositionGrads(g_logits, g_u, g_o, g_z, g_ln_gain)
+    if d_z is not None:
+        g_z = d_z + g_z
+    return PositionGrads(d_logits, g_u, g_o, g_z, g_ln_gain)
+
+
+def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:
+    """Gradient of each L_t alone w.r.t. the head tensors, as upstream rows."""
+    return head_backward(head, tape, output_grads(tape))
 
 
 def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,

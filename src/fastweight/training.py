@@ -166,19 +166,13 @@ class StreamCarry:
         return hd.update_stream_state(self.delta_prev, self.pending, gammas)
 
 
-def _zero_head_grads(head: hd.HeadParams) -> dict[str, np.ndarray]:
-    return {n: np.zeros_like(t) for n, t in head.named()}
-
-
 def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
                   fast: hd.PositionTape, state: dict[str, np.ndarray] | None,
                   chunk_size: int, w: float):
     """Gradient of w * sum_t L'_t w.r.t. head tensors, step sizes, H and the
     stream accumulators, given the slow tape and the fast pass's tape `fast`.
     Returns (dhead, dalpha, ddelta, dH)."""
-    T, d = H.shape
-
-    dhead = _zero_head_grads(head)
+    d = H.shape[1]
     dalpha = {}
     ddelta = {}
     # gradients on the per-position gradient rows (by PositionGrads field)
@@ -207,10 +201,7 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
         drows[hd.ROWS[name]] += dv
 
     # ---- fast pass: seed d(w * sum CE) / d fast logits, reverse its layers
-    dLG_f = fast.probs.copy()
-    dLG_f[np.arange(T), tape.targets] -= 1.0
-    dLG_f *= w
-    dH = _head_reverse(head, fast, dhead, dLG_f, tap=fast_term)
+    dhead, dH = _head_reverse(head, fast, hd.output_grads(fast, w), tap=fast_term)
     if "h" in dkeys:
         dH += dkeys["h"]  # U's keys are the same context vectors
 
@@ -248,53 +239,30 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     dLG_s = p * dGl - p * (p * dGl).sum(axis=1, keepdims=True)
 
     dZ_slow += dkeys.get("v", 0.0) * tape.relu_mask
-    dH += _head_reverse(head, tape, dhead, dLG_s, dkeys.get("u", 0.0), dP, dZ_slow)
+    dhead_slow, dH_slow = _head_reverse(head, tape, dLG_s, dkeys.get("u"), dP, dZ_slow)
+    for name, g in dhead_slow.items():
+        dhead[name] += g
+    dH += dH_slow
     return dhead, dalpha, ddelta, dH
 
 
-def _head_reverse(head: hd.HeadParams, acts: hd.PositionTape, dhead, dLG, dUo=0.0,
-                  dP=0.0, dZ=0.0, tap=None):
-    """Reverse of the head's layers (E/c, LayerNorm, b, W, squared ReLU, U/a)
-    over the pass whose tape is `acts` (slow or fast), for gradients on its logits
-    (dLG) and, beside the logits' paths, on its LayerNorm output (dUo),
-    LayerNorm input (dP) and pre-activation (dZ). Adds each tensor's slow
-    gradient into dhead, calls tap(name, d_x) with d_x the gradient on the
-    tensor's output (a matrix adds q, its input, and d_q, q's gradient, which
-    tap may add into) and returns the gradient w.r.t. h."""
-    tap = tap or (lambda *args: None)
-    dhead["c"] += dLG.sum(axis=0)
-    dhead["E"] += acts.u.T @ dLG
-    dU = dUo + dLG @ head.E.T
-    tap("E", dLG, acts.u, dU)
-    tap("c", dLG)
-    dG = dU * acts.xhat
-    dhead["ln_gain"] += dG.sum(axis=0)
-    dhead["ln_bias"] += dU.sum(axis=0)
-    tap("ln_gain", dG)
-    tap("ln_bias", dU)
-    dP = dP + layernorm_dx((acts.xhat, acts.istd, 1.0), dU * acts.gain)
-    dhead["b"] += dP.sum(axis=0)
-    tap("b", dP)
-    dhead["W"] += acts.v.T @ dP
-    dV = dP @ head.W.T
-    tap("W", dP, acts.v, dV)
-    dZ = dZ + dV * acts.relu_mask
-    dhead["U"] += acts.h.T @ dZ
-    dhead["a"] += dZ.sum(axis=0)
-    dH = dZ @ head.U.T
-    tap("U", dZ, acts.h, dH)
-    tap("a", dZ)
-    return dH
+def _head_reverse(head: hd.HeadParams, acts: hd.PositionTape, d_logits, d_u=None,
+                  d_o=None, d_z=None, tap=None):
+    """Reverse of the head's layers over the pass whose tape is `acts` (slow
+    or fast): hd.head_backward's rows, summed into each tensor's gradient,
+    then the U/a reverse and its taps. Returns (dhead, dH), dH the gradient
+    w.r.t. h."""
+    rows = hd.head_backward(head, acts, d_logits, d_u, d_o, d_z, tap)
+    dH = rows.g_z @ head.U.T
+    if tap is not None:
+        tap("U", rows.g_z, acts.h, dH)
+        tap("a", rows.g_z)
+    return hd.segment_grad_sums(acts, rows, hd.TENSOR_NAMES), dH
 
 
 def head_slow_vjp(head: hd.HeadParams, tape, w: float):
     """Gradient of w * sum_t L_t (slow losses only). Returns (dhead, dH)."""
-    T = tape.h.shape[0]
-    dhead = _zero_head_grads(head)
-    dLG = tape.probs.copy()
-    dLG[np.arange(T), tape.targets] -= 1.0
-    dLG *= w
-    return dhead, _head_reverse(head, tape, dhead, dLG)
+    return _head_reverse(head, tape, hd.output_grads(tape, w))
 
 
 @dataclass
@@ -667,6 +635,7 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
                 "ppl": float(np.exp(min(metrics.loss, 700.0))),
                 "grad_norm": metrics.grad_norm,
                 "alphas": metrics.alphas,
+                "gammas": model.gammas(),
                 "wall_ms": round(wall_ms, 3),
             }
             if (step + 1) % config.eval_every == 0 or step + 1 == config.total_steps:

@@ -172,6 +172,17 @@ def test_tune_global_step_empty_grid(small_ckpt):
         hn.tune_global_step(ckpt, corpus, [])
 
 
+def test_ablate_checks_every_checkpoint_before_scoring(small_ckpt, monkeypatch):
+    # a missing checkpoint fails at once, not after the rows before its own
+    ckpt, corpus = small_ckpt
+    calls = []
+    score = hn.score
+    monkeypatch.setattr(hn, "score", lambda *a, **k: calls.append(a) or score(*a, **k))
+    with pytest.raises(ConfigError):
+        hn.ablate({"slow": ckpt, "fwl": ckpt}, corpus)
+    assert calls == []
+
+
 def test_dynamic_evaluate_step_zero_is_baseline(small_ckpt):
     ckpt, corpus = small_ckpt
     for chunk in (8, 24):

@@ -157,6 +157,12 @@ def test_empty_mask_fast_vjp_is_the_slow_vjp(T, d, m, vocab, w):
     for name in hd.TENSOR_NAMES:
         assert np.array_equal(dhead[name], dhead_slow[name]), name
     assert np.array_equal(dH, dH_slow)
+    # at w = 1 the slow VJP is the per-position rows, summed
+    dhead_one, dH_one = tr.head_slow_vjp(head, tape, 1.0)
+    sums = hd.segment_grad_sums(tape, grads, hd.TENSOR_NAMES)
+    for name in hd.TENSOR_NAMES:
+        assert np.array_equal(dhead_one[name], sums[name]), name
+    assert np.array_equal(dH_one, grads.g_z @ head.U.T)
 
 
 def test_fast_vjp_matches_central_differences():
@@ -373,6 +379,26 @@ def test_fit_reduces_loss_and_resumes_exactly(tmp_path):
     assert abs(lines_c[-1]["loss"] - full[-1]["loss"]) < 1e-10
     for (ka, va), (kb, vb) in zip(res.model.named_params(), res_c.model.named_params()):
         np.testing.assert_allclose(va, vb, atol=1e-10, err_msg=ka)
+
+
+def test_fit_records_the_decays(tmp_path):
+    # streaming trains gamma, so the decays each metrics record holds move
+    corpus = corpus_from_text(make_entity_corpus(8, seed=2), "word")
+    mc = tr.ModelConfig(
+        backbone=bb.BackboneConfig(vocab_size=corpus.vocab_size, d_model=8,
+                                   n_layers=1, n_heads=2, d_ff=16,
+                                   max_seq_len=16, seed=2),
+        d_hidden=8, chunk_size=8)
+    cfg = tr.TrainConfig(mode="full", streaming=True, total_steps=4, batch_size=2,
+                         seq_len=16, warmup_steps=0, eval_every=4, seed=2)
+    res = tr.fit(corpus, cfg, mc, out_dir=tmp_path)
+    import json
+    with open(res.metrics_path) as fh:
+        records = [json.loads(line) for line in fh]
+    snap = load_checkpoint(res.final_path)
+    final = {n: float(tr.sigmoid(g)) for n, g in snap.model.gamma_raw.items()}
+    assert records[-1]["gammas"] == final
+    assert records[-1]["gammas"] != records[0]["gammas"]
 
 
 @settings(max_examples=200, deadline=None)
