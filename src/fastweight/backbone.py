@@ -110,12 +110,6 @@ class BackboneParams:
         yield "lnf_g", self.lnf_g
         yield "lnf_b", self.lnf_b
 
-    def get(self, key: str) -> np.ndarray:
-        if key.startswith("layers."):
-            _, i, f = key.split(".")
-            return getattr(self.layers[int(i)], f)
-        return getattr(self, key)
-
     def set(self, key: str, value: np.ndarray) -> None:
         if key.startswith("layers."):
             _, i, f = key.split(".")

@@ -121,8 +121,10 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
     segment, with a StreamCarry threading segment memory across them when the
     model has it. So a zero step size is score(baseline, chunk_len), and is
     computed as that. Weights reset per document; every document owns its
-    private copy. A step that overflows the weights scores as a non-finite
-    perplexity, not as numpy warnings (the CLI turns it into exit 3).
+    private copy, and each chunk's step is written in place into that copy's
+    arrays once the chunk's backward has read them. A step that overflows the
+    weights scores as a non-finite perplexity, not as numpy warnings (the CLI
+    turns it into exit 3).
     """
     if chunk_len < 1:
         raise ConfigError(f"chunk_len must be >= 1, got {chunk_len}")
@@ -138,6 +140,7 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
     with np.errstate(all="ignore"):
         for doc in corpus.documents:
             model = base.copy()
+            params = dict(model.named_params())
             carry = StreamCarry.fresh(model, ())
             nlls = []
             for tokens, targets in doc_segments(doc, seq_len):
@@ -146,7 +149,7 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
                 nlls.append(res.losses)
                 carry = res.carry
                 for key, g in res.grads.items():
-                    model.set(key, model.get(key) - step_size * g)
+                    params[key] -= step_size * g
             nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
     return _score_result(nll_docs, time.perf_counter() - t0)
 

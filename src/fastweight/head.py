@@ -132,6 +132,7 @@ class PositionGrads:
     g_logits: np.ndarray   # (T, V)
     g_u: np.ndarray        # (T, d)
     g_o: np.ndarray        # (T, d)
+    g_v: np.ndarray        # (T, m), on the squared ReLU's output
     g_z: np.ndarray        # (T, m)
     g_ln_gain: np.ndarray  # (T, d)
 
@@ -246,7 +247,7 @@ def head_backward(head: HeadParams, tape: PositionTape, d_logits: np.ndarray,
     g_z = g_v * tape.relu_mask
     if d_z is not None:
         g_z = d_z + g_z
-    return PositionGrads(d_logits, g_u, g_o, g_z, g_ln_gain)
+    return PositionGrads(d_logits, g_u, g_o, g_v, g_z, g_ln_gain)
 
 
 def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:

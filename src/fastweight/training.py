@@ -97,18 +97,6 @@ class Model:
         for n in self.mask:
             yield f"gamma.{n}", self.gamma_raw[n]
 
-    def get(self, key: str) -> np.ndarray:
-        kind, _, rest = key.partition(".")
-        if kind == "bb":
-            return self.backbone.get(rest)
-        if kind == "head":
-            return self.head.tensor(rest)
-        if kind == "alpha":
-            return self.alpha[rest]
-        if kind == "gamma":
-            return self.gamma_raw[rest]
-        raise KeyError(key)
-
     def set(self, key: str, value: np.ndarray) -> None:
         kind, _, rest = key.partition(".")
         if kind == "bb":
@@ -208,10 +196,9 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
     # ---- reverse through the slow backward (second-order terms) ----
     dGl, dGu, dGo, dGz, dGg = (drows[f] for f in
                                ("g_logits", "g_u", "g_o", "g_z", "g_ln_gain"))
-    # g_z = (g_o W^T) * relu_mask
-    g_v = grads.g_o @ head.W.T
+    # g_z = g_v * relu_mask with g_v = g_o W^T
     dGv = dGz * tape.relu_mask
-    dRM = dGz * g_v
+    dRM = dGz * grads.g_v
     dZ_slow = dRM * 2.0 * (tape.z > 0)
     dGo += dGv @ head.W
     dhead["W"] += dGv.T @ grads.g_o

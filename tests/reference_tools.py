@@ -34,16 +34,15 @@ def directional_derivative_check(model: tr.Model, batch, config: tr.TrainConfig,
     full trainable-parameter space. Stream carries are held constant."""
     rng = np.random.default_rng(seed)
     loss0, grads, _ = tr.batch_loss_and_grads(model, batch, config, carries)
-    keys = [k for k, _ in model.named_params()]
+    saved = {k: np.array(v) for k, v in model.named_params()}
+    keys = list(saved)
     worst = 0.0
     for _ in range(n_directions):
-        direction = {k: rng.normal(size=np.shape(model.get(k))) for k in keys}
+        direction = {k: rng.normal(size=np.shape(saved[k])) for k in keys}
         scale = np.sqrt(sum(float((d ** 2).sum()) for d in direction.values()))
         direction = {k: d / scale for k, d in direction.items()}
         analytic = sum(float((np.asarray(grads.get(k, 0.0)) * direction[k]).sum())
                        for k in keys)
-
-        saved = {k: np.array(model.get(k)) for k in keys}
 
         def value(sign):
             for k in keys:

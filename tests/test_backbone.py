@@ -159,15 +159,16 @@ def test_multi_block_gradients_match_directional_finite_difference():
     _, cache, _ = bb.encode_with_cache(params, tokens, memory)
     grads = bb.encode_backward(params, cache, R)
 
-    keys = [k for k, _ in params.named()]
-    direction = {k: rng.normal(size=params.get(k).shape) for k in keys}
+    named = dict(params.named())
+    keys = list(named)
+    direction = {k: rng.normal(size=named[k].shape) for k in keys}
     analytic = sum(float((grads[k] * direction[k]).sum()) for k in keys)
     eps = 1e-6
 
     def value(sign):
         trial = params.copy()
         for k in keys:
-            trial.set(k, params.get(k) + sign * eps * direction[k])
+            trial.set(k, named[k] + sign * eps * direction[k])
         return float((bb.encode_with_cache(trial, tokens, memory)[0] * R).sum())
 
     fd = (value(+1) - value(-1)) / (2 * eps)
@@ -261,15 +262,16 @@ def test_gradients_match_directional_finite_difference():
     H, cache, _ = bb.encode_with_cache(params, tokens)
     grads = bb.encode_backward(params, cache, R)
 
-    keys = [k for k, _ in params.named()]
-    direction = {k: rng.normal(size=params.get(k).shape) for k in keys}
+    named = dict(params.named())
+    keys = list(named)
+    direction = {k: rng.normal(size=named[k].shape) for k in keys}
     analytic = sum(float((grads[k] * direction[k]).sum()) for k in keys)
 
     eps = 1e-6
     def value(sign):
         trial = params.copy()
         for k in keys:
-            trial.set(k, params.get(k) + sign * eps * direction[k])
+            trial.set(k, named[k] + sign * eps * direction[k])
         return float((bb.encode(trial, tokens) * R).sum())
 
     fd = (value(+1) - value(-1)) / (2 * eps)
@@ -284,8 +286,9 @@ def test_gradients_per_tensor_finite_difference():
     H, cache, _ = bb.encode_with_cache(params, tokens)
     grads = bb.encode_backward(params, cache, R)
     eps = 1e-6
+    named = dict(params.named())
     for key in ("layers.0.wq", "layers.0.w2", "layers.0.ln1_g", "lnf_b", "pos_emb"):
-        base = params.get(key)
+        base = named[key]
         fd = np.zeros_like(base)
         flat_fd = fd.reshape(-1)
         flat = base.reshape(-1)
@@ -337,15 +340,16 @@ def test_segment_memory_stop_gradient():
     H, cache, _ = bb.encode_with_cache(params, seg2, mem)
     grads = bb.encode_backward(params, cache, R)
 
-    keys = [k for k, _ in params.named()]
-    direction = {k: rng.normal(size=params.get(k).shape) for k in keys}
+    named = dict(params.named())
+    keys = list(named)
+    direction = {k: rng.normal(size=named[k].shape) for k in keys}
     analytic = sum(float((grads[k] * direction[k]).sum()) for k in keys)
     eps = 1e-6
 
     def value(sign):
         trial = params.copy()
         for k in keys:
-            trial.set(k, params.get(k) + sign * eps * direction[k])
+            trial.set(k, named[k] + sign * eps * direction[k])
         H2, _, _ = bb.encode_with_cache(trial, seg2, mem)  # mem fixed
         return float((H2 * R).sum())
 

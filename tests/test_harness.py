@@ -199,6 +199,31 @@ def test_dynamic_evaluate_leaves_checkpoint_untouched(small_ckpt):
         np.testing.assert_array_equal(before[k], v)
 
 
+def test_dynamic_evaluate_steps_its_private_copy_in_place(small_ckpt, monkeypatch):
+    # every chunk's step writes into the arrays the document's copy was made
+    # with; the checkpoint's own arrays are never written
+    ckpt, corpus = small_ckpt
+    before = {k: np.array(v) for k, v in ckpt.model.named_params()}
+    copies = []
+    copy = tr.Model.copy
+
+    def spy(self):
+        model = copy(self)
+        copies.append((model, dict(model.named_params())))
+        return model
+
+    monkeypatch.setattr(tr.Model, "copy", spy)
+    hn.dynamic_evaluate(ckpt, corpus, 0.05, chunk_len=8)
+    assert len(copies) == len(corpus.documents)
+    for model, arrays in copies:
+        for k, v in model.named_params():
+            assert v is arrays[k], k
+            if k.startswith(("bb.", "head.")):
+                assert not np.array_equal(v, before[k]), k
+    for k, v in ckpt.model.named_params():
+        np.testing.assert_array_equal(before[k], v)
+
+
 @pytest.mark.parametrize("chunk_len", [5, 8])
 def test_dynamic_evaluate_matches_a_reference_walk_with_memory(chunk_len):
     # one SGD step per chunk on its mean slow loss, with segment memory
@@ -223,9 +248,10 @@ def test_dynamic_evaluate_matches_a_reference_walk_with_memory(chunk_len):
             bgrads = bb.encode_backward(model.backbone, bcache, dH)
             for name, g in dhead.items():
                 setattr(model.head, name, model.head.tensor(name) - step * g)
+            named = dict(model.backbone.named())
             for key, g in bgrads.items():
-                model.backbone.set(key, model.backbone.get(key) - step * g)
-        np.testing.assert_allclose(nll, np.concatenate(want), rtol=0, atol=1e-12)
+                model.backbone.set(key, named[key] - step * g)
+        np.testing.assert_array_equal(nll, np.concatenate(want))
         assert np.abs(nll - base).max() > 1e-6  # the steps change the scores
 
 

@@ -185,7 +185,8 @@ def test_stream_state_gamma_one_zero_grads_identity():
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
     zero_grads = hd.PositionGrads(*(np.zeros_like(x) for x in
-                                    (grads.g_logits, grads.g_u, grads.g_o, grads.g_z, grads.g_ln_gain)))
+                                    (grads.g_logits, grads.g_u, grads.g_o, grads.g_v,
+                                     grads.g_z, grads.g_ln_gain)))
     state = zero_state(head, steps)
     for k in state:
         state[k] += 1.5

@@ -282,12 +282,13 @@ def test_fwl_finetune_freezes_backbone(case):
 def test_slow_only_freezes_step_sizes_and_decays(case):
     model = tiny_model(seed=22)
     opt = _full_mode_opt_state(model, 23) if case == "resumed_full_state" else None
-    keys = [k for k, _ in model.named_params() if k.startswith(("alpha.", "gamma."))]
-    before = {k: np.array(model.get(k)) for k in keys}
+    before = {k: np.array(v) for k, v in model.named_params()
+              if k.startswith(("alpha.", "gamma."))}
     cfg = tr.TrainConfig(mode="slow-only", learning_rate=1e-2)
     tr.train_step(model, tiny_batch(model, T=8, seed=24), cfg, opt)
-    for k in keys:
-        np.testing.assert_array_equal(before[k], model.get(k))
+    after = dict(model.named_params())
+    for k in before:
+        np.testing.assert_array_equal(before[k], after[k])
 
 
 def test_full_batch_loss_monotone_under_exact_gradient_descent():
@@ -310,8 +311,8 @@ def test_full_batch_loss_monotone_under_exact_gradient_descent():
     for _ in range(55):
         loss, grads, _ = tr.batch_loss_and_grads(model, batch, cfg)
         losses.append(loss)
-        for k, _ in model.named_params():
-            model.set(k, model.get(k) - lr * np.asarray(grads[k]))
+        for k, p in dict(model.named_params()).items():
+            model.set(k, p - lr * np.asarray(grads[k]))
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
