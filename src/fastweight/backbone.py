@@ -110,13 +110,6 @@ class BackboneParams:
         yield "lnf_g", self.lnf_g
         yield "lnf_b", self.lnf_b
 
-    def set(self, key: str, value: np.ndarray) -> None:
-        if key.startswith("layers."):
-            _, i, f = key.split(".")
-            setattr(self.layers[int(i)], f, value)
-        else:
-            setattr(self, key, value)
-
     def copy(self) -> "BackboneParams":
         layers = [LayerParams(**{f: getattr(lp, f).copy() for f in lp.__dataclass_fields__})
                   for lp in self.layers]

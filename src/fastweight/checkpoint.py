@@ -174,7 +174,7 @@ def _from_metadata(path, meta: dict, tensors: dict) -> CheckpointData:
         if tensors[key].shape != want.shape:
             raise ConfigError(f"{path}: tensor {key!r} has shape {tensors[key].shape}, "
                               f"its model_config needs {want.shape}")
-        model.set(key, tensors[key])
+        want[...] = tensors[key]
 
     train_config = None
     if meta.get("train_config"):

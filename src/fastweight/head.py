@@ -68,9 +68,6 @@ class HeadParams:
     def d_model(self) -> int:
         return self.U.shape[0]
 
-    def tensor(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
     def named(self):
         for name in TENSOR_NAMES:
             yield name, getattr(self, name)
@@ -144,7 +141,7 @@ def _check_state(state: dict[str, np.ndarray], head: HeadParams, mask) -> None:
     for name in mask:
         if name not in state:
             raise StateError(f"stream state missing accumulator for {name!r}")
-        want = head.tensor(name).shape
+        want = getattr(head, name).shape
         got = state[name].shape
         if got != want:
             raise StateError(f"stream accumulator {name!r} has shape {got}, expected {want}")

@@ -159,8 +159,8 @@ def _generation_pairs(rng, seed: int):
             bb.BackboneConfig(vocab_size=V, d_model=d, n_layers=2, n_heads=2, d_ff=2 * d,
                               max_seq_len=L, memory_len=M, seed=seed), d_hidden=m, chunk_size=C))
         for n in hd.TENSOR_NAMES:
-            model.alpha[n] = np.float64(rng.uniform(lo, hi))
-            model.gamma_raw[n] = np.float64(rng.normal())
+            model.alpha[n][...] = rng.uniform(lo, hi)
+            model.gamma_raw[n][...] = rng.normal()
         prompt = rng.integers(0, V, size=P)
         for variant in ("fwl", "baseline"):
             gen = harness.generate_ids(model, prompt, N, temp, seed, variant)

@@ -97,19 +97,6 @@ class Model:
         for n in self.mask:
             yield f"gamma.{n}", self.gamma_raw[n]
 
-    def set(self, key: str, value: np.ndarray) -> None:
-        kind, _, rest = key.partition(".")
-        if kind == "bb":
-            self.backbone.set(rest, value)
-        elif kind == "head":
-            setattr(self.head, rest, value)
-        elif kind == "alpha":
-            self.alpha[rest] = np.asarray(value, dtype=np.float64)
-        elif kind == "gamma":
-            self.gamma_raw[rest] = np.asarray(value, dtype=np.float64)
-        else:
-            raise KeyError(key)
-
     def copy(self) -> "Model":
         return Model(self.config, self.backbone.copy(), self.head.copy(),
                      {k: np.array(v) for k, v in self.alpha.items()},
@@ -123,8 +110,8 @@ def init_model(config: ModelConfig) -> Model:
     head = hd.init_head(bcfg.d_model, config.d_hidden, bcfg.vocab_size,
                         seed=bcfg.seed + 1)
     gamma_raw_init = float(np.log(config.gamma_init / (1 - config.gamma_init)))
-    alpha = {n: np.float64(config.alpha_init) for n in config.mask}
-    gamma_raw = {n: np.float64(gamma_raw_init) for n in config.mask}
+    alpha = {n: np.array(config.alpha_init) for n in config.mask}
+    gamma_raw = {n: np.array(gamma_raw_init) for n in config.mask}
     return Model(config, backbone, head, alpha, gamma_raw)
 
 
@@ -146,7 +133,7 @@ class StreamCarry:
         mem = (bb.SegmentMemory.empty(model.config.backbone)
                if model.config.backbone.memory_len else None)
         mask = model.mask if mask is None else mask
-        zeros = {n: np.zeros(model.head.tensor(n).shape) for n in mask}
+        zeros = {n: np.zeros(getattr(model.head, n).shape) for n in mask}
         return StreamCarry(mem, zeros, {k: v.copy() for k, v in zeros.items()})
 
     def state(self, gammas: dict[str, float]) -> dict[str, np.ndarray]:
@@ -370,30 +357,30 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
 
 
 def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                opt_state: dict, config: TrainConfig, lr_scale: float = 1.0):
+                opt_state: dict, config: TrainConfig, lr_scale: float = 1.0) -> float:
     """Standard Adam with bias correction; global-norm clipping is applied to
-    the incoming gradients. Only the keys in grads are updated: new_params
-    holds those, and every other parameter keeps its value and its moments.
-    Returns (new_params, new_state). Pure."""
+    the incoming gradients. Only the keys in grads are updated: each step is
+    written in place into those arrays of params and into opt_state's moments,
+    and every other parameter keeps its value and its moments. Advances
+    opt_state's step count and returns the pre-clip gradient norm."""
     norm = global_grad_norm(grads)
     scale = 1.0
     if norm > config.clip_norm:
         scale = config.clip_norm / norm
-    t = opt_state["t"] + 1
-    new_m, new_v, new_p = dict(opt_state["m"]), dict(opt_state["v"]), {}
+    t = opt_state["t"] = opt_state["t"] + 1
     for k in grads:
-        p = params[k]
+        p, m, v = params[k], opt_state["m"][k], opt_state["v"][k]
         g = np.asarray(grads[k]) * scale
         if config.weight_decay and k.startswith(("bb.", "head.")) and p.ndim >= 2:
             g = g + config.weight_decay * p
-        m = config.beta1 * opt_state["m"][k] + (1 - config.beta1) * g
-        v = config.beta2 * opt_state["v"][k] + (1 - config.beta2) * g * g
+        m *= config.beta1
+        m += (1 - config.beta1) * g
+        v *= config.beta2
+        v += (1 - config.beta2) * g * g
         mhat = m / (1 - config.beta1 ** t)
         vhat = v / (1 - config.beta2 ** t)
-        new_p[k] = p - config.learning_rate * lr_scale * mhat / (np.sqrt(vhat) + config.eps)
-        new_m[k] = m
-        new_v[k] = v
-    return new_p, {"m": new_m, "v": new_v, "t": t}
+        p -= config.learning_rate * lr_scale * mhat / (np.sqrt(vhat) + config.eps)
+    return norm
 
 
 def warmup_scale(step: int, config: TrainConfig) -> float:
@@ -436,9 +423,9 @@ def train_step(model: Model, batch, config: TrainConfig, opt_state: dict | None 
                carries: list[StreamCarry] | None = None):
     """One optimizer step over a batch of (tokens, targets) pairs.
 
-    Updates the model parameters in place; the optimizer state is threaded
-    functionally. Returns (metrics, opt_state, new_carries). In streaming mode
-    `carries` holds one StreamCarry per batch lane.
+    Writes the step in place into the model's arrays and into opt_state (a
+    fresh one when None). Returns (metrics, opt_state, new_carries). In
+    streaming mode `carries` holds one StreamCarry per batch lane.
     """
     if opt_state is None:
         opt_state = zero_opt_state(model)
@@ -447,12 +434,8 @@ def train_step(model: Model, batch, config: TrainConfig, opt_state: dict | None 
         raise NumericalError(
             f"non-finite loss {loss} at optimizer step {opt_state['t'] + 1} "
             f"(batch of {len(batch)} sequences)")
-    params = dict(model.named_params())
-    norm = global_grad_norm(acc)
-    new_params, opt_state = adam_update(params, acc, opt_state, config,
-                                        lr_scale=warmup_scale(opt_state["t"], config))
-    for k, vnew in new_params.items():
-        model.set(k, vnew)
+    norm = adam_update(dict(model.named_params()), acc, opt_state, config,
+                       lr_scale=warmup_scale(opt_state["t"], config))
     metrics = StepMetrics(loss, norm, {n: float(model.alpha[n]) for n in model.mask},
                           sum(len(t) for t, _ in batch))
     return metrics, opt_state, new_carries

@@ -83,11 +83,11 @@ def test_criterion_3_rank_one_identity():
 
             def loss_of(flat, name=name, t=t):
                 trial = head.copy()
-                setattr(trial, name, flat.reshape(head.tensor(name).shape))
+                getattr(trial, name)[...] = flat.reshape(getattr(head, name).shape)
                 _, losses = hd.slow_forward(trial, H, targets)
                 return float(losses[t])
 
-            fd = finite_diff_grad(loss_of, head.tensor(name).reshape(-1).copy())
+            fd = finite_diff_grad(loss_of, getattr(head, name).reshape(-1).copy())
             rel = np.abs(analytic.reshape(-1) - fd) / (np.abs(fd) + 1e-8)
             worst = max(worst, float(rel.max()))
     wall = time.perf_counter() - t0
@@ -110,7 +110,7 @@ def test_criterion_4_second_order_gradient_check():
     model = tr.init_model(mcfg)
     rng = np.random.default_rng(1)
     for n in hd.TENSOR_NAMES:
-        model.alpha[n] = np.float64(rng.uniform(0.01, 0.05) * rng.choice([-1, 1]))
+        model.alpha[n][...] = rng.uniform(0.01, 0.05) * rng.choice([-1, 1])
     toks = rng.integers(0, 5, size=9)
     batch = [(toks[:-1], toks[1:])]
     cfg = tr.TrainConfig(mode="full")
@@ -150,7 +150,7 @@ def test_criterion_5_identity_reductions():
         d_hidden=12, chunk_size=8)
     model = tr.init_model(mcfg)
     for n in hd.TENSOR_NAMES:
-        model.alpha[n] = np.float64(0.0)
+        model.alpha[n][...] = 0.0
     ckpt = CheckpointData(model, None, corpus.tokenizer, None, 0)
     base = hn.score(ckpt, corpus, "baseline")
     fwl = hn.score(ckpt, corpus, "fwl")

@@ -167,8 +167,8 @@ def test_multi_block_gradients_match_directional_finite_difference():
 
     def value(sign):
         trial = params.copy()
-        for k in keys:
-            trial.set(k, named[k] + sign * eps * direction[k])
+        for k, p in trial.named():
+            p[...] = named[k] + sign * eps * direction[k]
         return float((bb.encode_with_cache(trial, tokens, memory)[0] * R).sum())
 
     fd = (value(+1) - value(-1)) / (2 * eps)
@@ -270,8 +270,8 @@ def test_gradients_match_directional_finite_difference():
     eps = 1e-6
     def value(sign):
         trial = params.copy()
-        for k in keys:
-            trial.set(k, named[k] + sign * eps * direction[k])
+        for k, p in trial.named():
+            p[...] = named[k] + sign * eps * direction[k]
         return float((bb.encode(trial, tokens) * R).sum())
 
     fd = (value(+1) - value(-1)) / (2 * eps)
@@ -348,8 +348,8 @@ def test_segment_memory_stop_gradient():
 
     def value(sign):
         trial = params.copy()
-        for k in keys:
-            trial.set(k, named[k] + sign * eps * direction[k])
+        for k, p in trial.named():
+            p[...] = named[k] + sign * eps * direction[k]
         H2, _, _ = bb.encode_with_cache(trial, seg2, mem)  # mem fixed
         return float((H2 * R).sum())
 

@@ -73,8 +73,8 @@ def test_checkpoint_with_backbone_key_biases_loads(tmp_path, monkeypatch):
     model = tr.init_model(tr.ModelConfig(
         bb.BackboneConfig(vocab_size=5, d_model=4, n_layers=2, n_heads=2, d_ff=8,
                           max_seq_len=4), d_hidden=4, chunk_size=2))
-    for key, v in list(model.named_params()):
-        model.set(key, v + rng.normal(size=np.shape(v)))
+    for _, v in model.named_params():
+        v += rng.normal(size=np.shape(v))
     opt = tr.zero_opt_state(model)
     opt = {"m": {k: rng.normal(size=np.shape(v)) for k, v in opt["m"].items()},
            "v": {k: rng.random(np.shape(v)) for k, v in opt["v"].items()}, "t": 5}

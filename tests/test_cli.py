@@ -287,7 +287,7 @@ def test_bias_only_scoring_of_a_model_without_c_is_config_error(workdir, tmp_pat
 def test_score_non_finite_perplexity_is_numerical_error(workdir, tmp_path, capsys):
     def huge_steps(model):
         for n in model.alpha:
-            model.alpha[n] = np.float64(1e6)
+            model.alpha[n][...] = 1e6
 
     ckpt = _resaved(workdir, tmp_path, huge_steps)
     rc = main(["score", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),

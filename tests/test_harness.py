@@ -28,7 +28,7 @@ def test_score_zero_alpha_equals_baseline(small_ckpt):
     ckpt, corpus = small_ckpt
     model = ckpt.model.copy()
     for n in hd.TENSOR_NAMES:
-        model.alpha[n] = np.float64(0.0)
+        model.alpha[n][...] = 0.0
     zero_ckpt = CheckpointData(model, None, ckpt.tokenizer, None, 0)
     base = hn.score(zero_ckpt, corpus, "baseline")
     fwl = hn.score(zero_ckpt, corpus, "fwl")
@@ -51,8 +51,8 @@ def test_score_uniform_random_corpus_near_vocab_size():
                                    n_heads=2, d_ff=16, max_seq_len=32, seed=0),
         d_hidden=8, chunk_size=8)
     model = tr.init_model(mcfg)
-    model.head.E = np.zeros_like(model.head.E)
-    model.head.c = np.zeros_like(model.head.c)
+    model.head.E[...] = 0.0
+    model.head.c[...] = 0.0
     ckpt = CheckpointData(model, None, tok, None, 0)
     assert hn.score(ckpt, corpus, "baseline").perplexity == pytest.approx(vocab, rel=1e-9)
     assert hn.score(ckpt, corpus, "fwl").perplexity == pytest.approx(vocab, rel=0.05)
@@ -85,7 +85,7 @@ def test_score_threads_fast_state_across_segments(small_ckpt):
     ckpt, corpus = small_ckpt
     model = ckpt.model.copy()
     for n in model.mask:
-        model.gamma_raw[n] = np.float64(40.0)  # the sigmoid rounds to 1.0
+        model.gamma_raw[n][...] = 40.0  # the sigmoid rounds to 1.0
     assert all(g == 1.0 for g in model.gammas().values())
     doc = np.concatenate(corpus.documents[:3])
     seq_len = model.config.backbone.max_seq_len
@@ -247,10 +247,11 @@ def test_dynamic_evaluate_matches_a_reference_walk_with_memory(chunk_len):
             dhead, dH = tr.head_slow_vjp(model.head, tape, 1.0 / len(targets))
             bgrads = bb.encode_backward(model.backbone, bcache, dH)
             for name, g in dhead.items():
-                setattr(model.head, name, model.head.tensor(name) - step * g)
+                arr = getattr(model.head, name)
+                arr[...] = arr - step * g
             named = dict(model.backbone.named())
             for key, g in bgrads.items():
-                model.backbone.set(key, named[key] - step * g)
+                named[key][...] = named[key] - step * g
         np.testing.assert_array_equal(nll, np.concatenate(want))
         assert np.abs(nll - base).max() > 1e-6  # the steps change the scores
 
@@ -338,7 +339,7 @@ def test_generate_zero_alpha_greedy_matches_baseline(small_ckpt):
     ckpt, corpus = small_ckpt
     model = ckpt.model.copy()
     for n in hd.TENSOR_NAMES:
-        model.alpha[n] = np.float64(0.0)
+        model.alpha[n][...] = 0.0
     zero_ckpt = CheckpointData(model, None, ckpt.tokenizer, None, 0)
     prompt = corpus.tokenizer.decode(corpus.documents[0][:6])
     fwl = hn.generate(zero_ckpt, prompt, 10, temperature=0.0, seed=0, variant="fwl")
@@ -380,8 +381,8 @@ def _generation_ckpt(memory_len):
         d_hidden=8, chunk_size=4))
     rng = np.random.default_rng(memory_len)
     for n in hd.TENSOR_NAMES:
-        model.alpha[n] = np.float64(rng.uniform(0.1, 0.5))
-        model.gamma_raw[n] = np.float64(rng.normal())
+        model.alpha[n][...] = rng.uniform(0.1, 0.5)
+        model.gamma_raw[n][...] = rng.normal()
     tok = TokenizerSpec("word", [f"w{i}" for i in range(vocab)])
     return CheckpointData(model, None, tok, None, 0)
 

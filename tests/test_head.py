@@ -8,7 +8,7 @@ from fastweight import oracle
 
 
 def zero_state(head, mask):
-    return {n: np.zeros(head.tensor(n).shape) for n in mask}
+    return {n: np.zeros(getattr(head, n).shape) for n in mask}
 
 
 def make_instance(seed, T=6, d=4, m=5, vocab=7, mask=hd.MASK_ALL, alpha_scale=0.02):
@@ -61,7 +61,7 @@ def test_rank_one_outer_product_matches_finite_difference_U():
 
     def loss_of_U_flat(u_flat):
         trial = head.copy()
-        trial.U = u_flat.reshape(head.U.shape)
+        trial.U[...] = u_flat.reshape(head.U.shape)
         _, losses = hd.slow_forward(trial, H, targets)
         return float(losses[0])
 
@@ -80,11 +80,11 @@ def test_rank_one_identity_all_matrices(name, inp):
 
     def loss_of(flat):
         trial = head.copy()
-        setattr(trial, name, flat.reshape(head.tensor(name).shape))
+        getattr(trial, name)[...] = flat.reshape(getattr(head, name).shape)
         _, losses = hd.slow_forward(trial, H, targets)
         return float(losses[t])
 
-    fd = nm.finite_diff_grad(loss_of, head.tensor(name).reshape(-1).copy())
+    fd = nm.finite_diff_grad(loss_of, getattr(head, name).reshape(-1).copy())
     rel = np.abs(analytic.reshape(-1) - fd) / (np.abs(fd) + 1e-8)
     assert rel.max() < 1e-5
 

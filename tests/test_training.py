@@ -12,7 +12,7 @@ from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
-from reference_tools import directional_derivative_check
+from reference_tools import directional_derivative_check, reference_adam
 
 
 def tiny_model(mask=hd.MASK_ALL, seed=0, vocab=5, d_model=8, n_layers=2,
@@ -27,7 +27,9 @@ def tiny_model(mask=hd.MASK_ALL, seed=0, vocab=5, d_model=8, n_layers=2,
     # move step sizes off their tiny init so every path carries signal
     rng = np.random.default_rng(seed + 77)
     for n in hd.TENSOR_NAMES:
-        model.alpha[n] = np.float64(rng.uniform(0.01, 0.05) * rng.choice([-1.0, 1.0]))
+        alpha = rng.uniform(0.01, 0.05) * rng.choice([-1.0, 1.0])
+        if n in model.alpha:  # only the mask's tensors have a step size
+            model.alpha[n][...] = alpha
     return model
 
 
@@ -218,11 +220,13 @@ def test_alpha_gradient_present_only_for_masked_tensors():
 def test_adam_zero_gradient_keeps_params():
     model = tiny_model()
     params = dict(model.named_params())
+    before = {k: np.array(v) for k, v in params.items()}
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     cfg = tr.TrainConfig()
-    new_params, state = tr.adam_update(params, grads, tr.zero_opt_state(model), cfg)
+    state = tr.zero_opt_state(model)
+    tr.adam_update(params, grads, state, cfg)
     for k in params:
-        np.testing.assert_array_equal(new_params[k], params[k])
+        np.testing.assert_array_equal(params[k], before[k])
     assert state["t"] == 1
 
 
@@ -231,8 +235,9 @@ def test_adam_first_step_size():
     params = {"w": np.array([1.0, 2.0])}
     grads = {"w": np.array([1.0, 1.0])}
     state = {"m": {"w": np.zeros(2)}, "v": {"w": np.zeros(2)}, "t": 0}
-    new_params, _ = tr.adam_update(params, grads, state, cfg)
-    np.testing.assert_allclose(new_params["w"], params["w"] - 0.01, rtol=1e-6)
+    before = params["w"].copy()
+    tr.adam_update(params, grads, state, cfg)
+    np.testing.assert_allclose(params["w"], before - 0.01, rtol=1e-6)
 
 
 def test_train_step_determinism():
@@ -265,6 +270,7 @@ def test_fwl_finetune_freezes_backbone(case):
     model = tiny_model(seed=16)
     opt = _full_mode_opt_state(model, 18) if case == "resumed_full_state" else None
     before = {k: np.array(v) for k, v in model.backbone.named()}
+    opt_before = opt and {p: {k: np.array(v) for k, v in opt[p].items()} for p in "mv"}
     batch = tiny_batch(model, T=8, seed=17)
     cfg = tr.TrainConfig(mode="fwl-finetune", learning_rate=1e-2,
                          weight_decay=0.1 if case == "weight_decay" else 0.0)
@@ -272,8 +278,8 @@ def test_fwl_finetune_freezes_backbone(case):
     for k, v in model.backbone.named():
         np.testing.assert_array_equal(before[k], v)
         if opt is not None:  # frozen moments are carried, not decayed
-            np.testing.assert_array_equal(new_opt["m"][f"bb.{k}"], opt["m"][f"bb.{k}"])
-            np.testing.assert_array_equal(new_opt["v"][f"bb.{k}"], opt["v"][f"bb.{k}"])
+            np.testing.assert_array_equal(new_opt["m"][f"bb.{k}"], opt_before["m"][f"bb.{k}"])
+            np.testing.assert_array_equal(new_opt["v"][f"bb.{k}"], opt_before["v"][f"bb.{k}"])
     # head did move
     assert not np.array_equal(model.head.c, np.zeros_like(model.head.c))
 
@@ -289,6 +295,88 @@ def test_slow_only_freezes_step_sizes_and_decays(case):
     after = dict(model.named_params())
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
+
+
+# the parameters each mode leaves alone
+FROZEN = {"full": (), "slow-only": ("alpha.", "gamma."), "fwl-finetune": ("bb.",)}
+
+
+def _warm_carries(model, n_lanes, seed):
+    """One carry per lane after two segments, so every gamma has a gradient."""
+    carries = []
+    for tokens, targets in tiny_batch(model, T=8, n_seqs=n_lanes, seed=seed):
+        carry = tr.StreamCarry.fresh(model)
+        for _ in range(2):
+            carry = tr.sequence_loss_and_grads(model, tokens, targets, "full",
+                                               carry=carry).carry
+        carries.append(carry)
+    return carries
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_train_step_writes_in_place(mode):
+    model = tiny_model(memory_len=6, seed=32)
+    params = dict(model.named_params())
+    before = {k: np.array(v) for k, v in params.items()}
+    opt = _full_mode_opt_state(model, 33)
+    moments = {p: dict(opt[p]) for p in "mv"}
+    cfg = tr.TrainConfig(mode=mode, learning_rate=1e-2, weight_decay=0.1)
+    _, new_opt, _ = tr.train_step(model, tiny_batch(model, T=8, seed=34), cfg, opt,
+                                  _warm_carries(model, 2, 35))
+    assert new_opt is opt and opt["t"] == 2
+    for k, v in model.named_params():
+        assert v is params[k], k
+        assert opt["m"][k] is moments["m"][k] and opt["v"][k] is moments["v"][k], k
+        assert np.array_equal(v, before[k]) == k.startswith(FROZEN[mode]), k
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_train_step_matches_a_functional_adam(mode, weight_decay):
+    # six clipped steps through the warm-up, carries threaded so that gamma
+    # trains: bias correction at t > 1, weight decay and clipping, bit for bit
+    model = tiny_model(memory_len=6, seed=36)
+    ref = model.copy()
+    cfg = tr.TrainConfig(mode=mode, learning_rate=1e-2, weight_decay=weight_decay,
+                         clip_norm=0.05, warmup_steps=3)
+    opt = None
+    m = {k: np.zeros_like(v) for k, v in ref.named_params()}
+    v = {k: np.zeros_like(p) for k, p in ref.named_params()}
+    carries = [tr.StreamCarry.fresh(model) for _ in range(2)]
+    ref_carries = [tr.StreamCarry.fresh(ref) for _ in range(2)]
+    for step in range(6):
+        batch = tiny_batch(model, T=8, seed=40 + step)
+        metrics, opt, carries = tr.train_step(model, batch, cfg, opt, carries)
+        loss, grads, ref_carries = tr.batch_loss_and_grads(ref, batch, cfg, ref_carries)
+        new, m, v, norm = reference_adam(dict(ref.named_params()), grads, m, v, step + 1,
+                                         cfg, min(1.0, (step + 1) / cfg.warmup_steps))
+        for k, p in ref.named_params():
+            p[...] = new[k]
+        assert (metrics.loss, metrics.grad_norm) == (loss, norm)
+        assert norm > cfg.clip_norm
+    assert opt["t"] == 6
+    for (k, p), (_, want) in zip(model.named_params(), ref.named_params()):
+        np.testing.assert_array_equal(p, want, err_msg=k)
+        np.testing.assert_array_equal(opt["m"][k], m[k], err_msg=k)
+        np.testing.assert_array_equal(opt["v"][k], v[k], err_msg=k)
+
+
+def test_a_step_from_a_loaded_checkpoint_writes_in_place(tmp_path):
+    model = tiny_model(seed=37)
+    cfg = tr.TrainConfig(mode="full", learning_rate=1e-2)
+    _, opt, _ = tr.train_step(model, tiny_batch(model, T=8, seed=38), cfg)
+    save_checkpoint(tmp_path / "model.ckpt", model, cfg, opt, 1, None)
+    snap = load_checkpoint(tmp_path / "model.ckpt")
+    params = dict(snap.model.named_params())
+    before = {k: np.array(v) for k, v in params.items()}
+    moments = {p: dict(snap.opt_state[p]) for p in "mv"}
+    _, new_opt, _ = tr.train_step(snap.model, tiny_batch(model, T=8, seed=39), cfg,
+                                  snap.opt_state)
+    assert new_opt is snap.opt_state and new_opt["t"] == 2
+    for k, v in snap.model.named_params():
+        assert v is params[k], k
+        assert new_opt["m"][k] is moments["m"][k] and new_opt["v"][k] is moments["v"][k], k
+        assert not np.array_equal(v, before[k]) or k.startswith("gamma."), k
 
 
 def test_full_batch_loss_monotone_under_exact_gradient_descent():
@@ -311,8 +399,8 @@ def test_full_batch_loss_monotone_under_exact_gradient_descent():
     for _ in range(55):
         loss, grads, _ = tr.batch_loss_and_grads(model, batch, cfg)
         losses.append(loss)
-        for k, p in dict(model.named_params()).items():
-            model.set(k, p - lr * np.asarray(grads[k]))
+        for k, p in model.named_params():
+            p -= lr * np.asarray(grads[k])
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
@@ -465,7 +553,7 @@ def test_failed_checkpoint_overwrite_keeps_the_old_file(tmp_path, monkeypatch):
 
     real_write = ck._write_tensor
     monkeypatch.setattr(ck, "_write_tensor", failing_write)
-    model.head.c = model.head.c + 1.0
+    model.head.c += 1.0
     with pytest.raises(OSError, match="cannot write checkpoint"):
         save_checkpoint(path, model, None, None, 2, None)
     monkeypatch.undo()
