@@ -163,7 +163,5 @@ def make_entity_corpus(n_docs: int, seed: int, n_names: int = 160,
 
 
 def token_frequencies(corpus: Corpus) -> np.ndarray:
-    counts = np.zeros(corpus.vocab_size, dtype=np.int64)
-    for doc in corpus.documents:
-        np.add.at(counts, doc, 1)
-    return counts
+    return np.bincount(np.concatenate([np.zeros(0, np.int64), *corpus.documents]),
+                       minlength=corpus.vocab_size)

@@ -243,22 +243,6 @@ class AnalyzeReport:
         return buf.getvalue()
 
 
-def _bucket_rows(pairs):
-    out = []
-    for key in sorted(pairs):
-        base, fwl = pairs[key]
-        base = np.array(base)
-        fwl = np.array(fwl)
-        out.append({
-            "bucket": key,
-            "count": base.size,
-            "nll_baseline": float(base.mean()) if base.size else 0.0,
-            "nll_fwl": float(fwl.mean()) if fwl.size else 0.0,
-            "improvement": float((base - fwl).mean()) if base.size else 0.0,
-        })
-    return out
-
-
 def analyze(nll_baseline: list[np.ndarray], nll_fwl: list[np.ndarray],
             corpus: Corpus) -> AnalyzeReport:
     """Bucketed mean NLL improvement of the fast-weight scores over baseline.
@@ -266,46 +250,44 @@ def analyze(nll_baseline: list[np.ndarray], nll_fwl: list[np.ndarray],
     Buckets partition the predicted tokens three ways: by position-in-document
     decile, by log2 corpus frequency of the target token, and by whether the
     target already occurred in the same document (with the repeat index).
+    Each target's three keys are found once, as arrays, and each bucket is
+    the index set of its key.
     """
-    if len(nll_baseline) != len(nll_fwl) or len(nll_baseline) != len(corpus.documents):
+    docs = corpus.documents
+    if len(nll_baseline) != len(nll_fwl) or len(nll_baseline) != len(docs):
         raise ConfigError("NLL streams and corpus documents are misaligned")
-    freqs = token_frequencies(corpus)
-    pos_pairs: dict[int, tuple[list, list]] = {}
-    freq_pairs: dict[int, tuple[list, list]] = {}
-    occ_pairs: dict[str, tuple[list, list]] = {}
-    n_repeats = 0
-    n_total = 0
-    for doc, base, fwl in zip(corpus.documents, nll_baseline, nll_fwl):
+    for doc, base, fwl in zip(docs, nll_baseline, nll_fwl):
         if len(base) != len(doc) - 1 or len(fwl) != len(doc) - 1:
             raise ConfigError(
                 f"stream length {len(base)}/{len(fwl)} does not match "
                 f"{len(doc) - 1} predicted tokens")
-        seen_counts: dict[int, int] = {}
-        seen_counts[int(doc[0])] = 1
-        n_pred = len(doc) - 1
-        for p in range(n_pred):
-            target = int(doc[p + 1])
-            decile = min(9, (p * 10) // n_pred)
-            fbin = int(np.log2(max(freqs[target], 1)))
-            occ = seen_counts.get(target, 0)
-            if occ == 0:
-                okey = "first"
-            elif occ == 1:
-                okey = "repeat_1"
-            elif occ == 2:
-                okey = "repeat_2"
-            else:
-                okey = "repeat_3plus"
-            if occ > 0:
-                n_repeats += 1
-            n_total += 1
-            for pairs, key in ((pos_pairs, decile), (freq_pairs, fbin), (occ_pairs, okey)):
-                slot = pairs.setdefault(key, ([], []))
-                slot[0].append(base[p])
-                slot[1].append(fwl[p])
-            seen_counts[target] = occ + 1
-    return AnalyzeReport(_bucket_rows(pos_pairs), _bucket_rows(freq_pairs),
-                         _bucket_rows(occ_pairs), n_repeats / max(n_total, 1), n_total)
+    lengths = np.array([len(d) for d in docs], dtype=np.int64)
+    tokens = np.concatenate([np.zeros(0, np.int64), *docs])
+    doc_id = np.repeat(np.arange(len(docs)), lengths)
+    # occurrences of each token earlier in its document: its rank among the
+    # equal (document, token) keys, which a stable sort keeps in text order
+    key = doc_id * (int(tokens.max(initial=0)) + 1) + tokens
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    seen = np.empty_like(order)
+    seen[order] = np.arange(len(key)) - np.searchsorted(ranked, ranked)
+    pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    target = pos > 0  # a document's first token is no target
+    n_pred = (lengths - 1)[doc_id[target]]
+    decile = np.minimum(9, (pos[target] - 1) * 10 // n_pred)
+    fbin = np.log2(np.maximum(token_frequencies(corpus)[tokens[target]], 1)).astype(np.int64)
+    occ = np.minimum(seen[target], 3)
+    base = np.concatenate([np.zeros(0), *nll_baseline])
+    fwl = np.concatenate([np.zeros(0), *nll_fwl])
+
+    def buckets(keys, names=None):
+        return [{"bucket": names[k] if names else int(k), "count": int(s.sum()),
+                 "nll_baseline": float(base[s].mean()), "nll_fwl": float(fwl[s].mean()),
+                 "improvement": float((base[s] - fwl[s]).mean())}
+                for k in np.unique(keys) for s in [keys == k]]
+    occ_names = ("first", "repeat_1", "repeat_2", "repeat_3plus")
+    return AnalyzeReport(buckets(decile), buckets(fbin), buckets(occ, occ_names),
+                         int((occ > 0).sum()) / max(len(occ), 1), len(occ))
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +414,8 @@ def repeated_ngram_fraction(ids, n: int = 4) -> float:
     ids = list(ids)
     if len(ids) < n + 1:
         return 0.0
-    seen = set()
-    repeats = 0
-    total = 0
-    for i in range(len(ids) - n + 1):
-        gram = tuple(ids[i:i + n])
-        if gram in seen:
-            repeats += 1
-        seen.add(gram)
-        total += 1
-    return repeats / total
+    grams = list(zip(*(ids[i:] for i in range(n))))
+    return (len(grams) - len(set(grams))) / len(grams)
 
 
 @dataclass

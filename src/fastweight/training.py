@@ -82,10 +82,10 @@ class Model:
         return self.config.mask
 
     def step_sizes(self) -> hd.StepSizes:
-        return {n: float(a) for n, a in self.alpha.items()}
+        return {n: float(self.alpha[n]) for n in self.mask}
 
     def gammas(self) -> dict[str, float]:
-        return {n: float(sigmoid(g)) for n, g in self.gamma_raw.items()}
+        return {n: float(sigmoid(self.gamma_raw[n])) for n in self.mask}
 
     def named_params(self):
         for k, v in self.backbone.named():
@@ -436,8 +436,7 @@ def train_step(model: Model, batch, config: TrainConfig, opt_state: dict | None 
             f"(batch of {len(batch)} sequences)")
     norm = adam_update(dict(model.named_params()), acc, opt_state, config,
                        lr_scale=warmup_scale(opt_state["t"], config))
-    metrics = StepMetrics(loss, norm, {n: float(model.alpha[n]) for n in model.mask},
-                          sum(len(t) for t, _ in batch))
+    metrics = StepMetrics(loss, norm, model.step_sizes(), sum(len(t) for t, _ in batch))
     return metrics, opt_state, new_carries
 
 

@@ -8,10 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fastweight import backbone as bb
+from fastweight import harness
 from fastweight import training as tr
 from fastweight.checkpoint import load_checkpoint, save_checkpoint
 from fastweight.cli import main
-from fastweight.corpus import make_entity_corpus
+from fastweight.corpus import ingest, make_entity_corpus
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +136,25 @@ def test_analyze_writes_csv(workdir, tmp_path, capsys):
     out_csv = tmp_path / "buckets.csv"
     rc = main(["analyze", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
                "--csv", str(out_csv)])
-    capsys.readouterr()
+    printed = json.loads(capsys.readouterr().out)
     assert rc == 0
     header = out_csv.read_text().splitlines()[0].split(",")
     assert header[0] == "family"
+    # the same report computed in-process: the CSV byte for byte, and the
+    # printed summary rounded as the command rounds it
+    loaded = load_checkpoint(ckpt)
+    corpus = ingest(workdir / "dev.txt", loaded.tokenizer)
+    report = harness.analyze(harness.score(loaded, corpus, "baseline").nll_docs,
+                             harness.score(loaded, corpus, "fwl").nll_docs, corpus)
+    assert out_csv.read_bytes() == report.csv().encode()
+    deciles = report.position_deciles
+    assert printed == {
+        "repeat_fraction": round(report.repeat_fraction, 4),
+        "tokens": report.n_tokens,
+        "occurrence": {b["bucket"]: round(b["improvement"], 5)
+                       for b in report.occurrence_buckets},
+        "first_decile_improvement": round(deciles[0]["improvement"], 5),
+        "last_decile_improvement": round(deciles[-1]["improvement"], 5)}
 
 
 def test_bench_reports(workdir, capsys):

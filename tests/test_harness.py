@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,56 @@ def test_analyze_misaligned_streams_raise(small_ckpt):
         hn.analyze(broken, res.nll_docs, corpus)
 
 
+def test_analyze_buckets_a_hand_built_corpus():
+    tok = TokenizerSpec("word", ["a", "b", "c", "d"])
+    # "a" occurs five times in the first document, so its last two targets
+    # reach repeat_3plus; "b d" makes one prediction and "c" none.
+    # Corpus counts: a 5, b 2, c 2, d 1, so log2 bins 2, 1, 1, 0.
+    corpus = Corpus([tok.encode(t) for t in ("a b a a c a a", "b d", "c")], tok)
+    # targets:  b     a     a     c     a     a     | d
+    base = [2.0, 1.5, 1.0, 3.0, 0.5, 0.25, 4.0]
+    fwl = [1.5, 1.0, 0.5, 2.0, 0.25, 0.25, 2.5]
+    report = hn.analyze([np.array(base[:6]), np.array(base[6:]), np.array([])],
+                        [np.array(fwl[:6]), np.array(fwl[6:]), np.array([])], corpus)
+
+    def rows(family):
+        return [(b["bucket"], type(b["bucket"]), b["count"], b["nll_baseline"],
+                 b["nll_fwl"], b["improvement"]) for b in family]
+
+    # deciles of 6 predictions: 10 * p // 6 for p = 0..5; of 1 prediction: 0
+    assert rows(report.position_deciles) == [
+        (0, int, 2, 3.0, 2.0, 1.0), (1, int, 1, 1.5, 1.0, 0.5),
+        (3, int, 1, 1.0, 0.5, 0.5), (5, int, 1, 3.0, 2.0, 1.0),
+        (6, int, 1, 0.5, 0.25, 0.25), (8, int, 1, 0.25, 0.25, 0.0)]
+    assert rows(report.frequency_bins) == [
+        (0, int, 1, 4.0, 2.5, 1.5), (1, int, 2, 2.5, 1.75, 0.75),
+        (2, int, 4, 0.8125, 0.5, 0.3125)]
+    assert rows(report.occurrence_buckets) == [
+        ("first", str, 3, 3.0, 2.0, 1.0), ("repeat_1", str, 1, 1.5, 1.0, 0.5),
+        ("repeat_2", str, 1, 1.0, 0.5, 0.5), ("repeat_3plus", str, 2, 0.375, 0.25, 0.125)]
+    assert all(type(b["count"]) is int for fam in (report.position_deciles,
+               report.frequency_bins, report.occurrence_buckets) for b in fam)
+    assert report.repeat_fraction == 4 / 7
+    assert report.n_tokens == 7
+
+    empty = hn.analyze([], [], Corpus([], tok))
+    assert (empty.position_deciles, empty.frequency_bins, empty.occurrence_buckets,
+            empty.repeat_fraction, empty.n_tokens) == ([], [], [], 0.0, 0)
+
+
+def test_step_sizes_and_decays_follow_the_mask(small_ckpt):
+    ckpt, corpus = small_ckpt
+    model = tr.init_model(dataclasses.replace(ckpt.model.config, mask=("c",)))
+    masked = CheckpointData(model, None, ckpt.tokenizer, None, 0)
+    want = hn.score(masked, corpus, "fwl").nll_docs
+    model.alpha["W"] = np.array(0.05)  # a tensor outside the mask
+    model.gamma_raw["W"] = np.array(0.0)
+    assert list(model.step_sizes()) == ["c"]
+    assert list(model.gammas()) == ["c"]
+    for a, b in zip(want, hn.score(masked, corpus, "fwl").nll_docs):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_flop_ratio_approaches_one_with_depth(small_ckpt):
     ckpt, _ = small_ckpt
     ratios = []
@@ -443,9 +495,20 @@ def test_generate_warns_on_out_of_vocabulary_prompt(small_ckpt):
     assert text.startswith("<unk> ")
 
 
-def test_repeated_ngram_fraction():
-    assert hn.repeated_ngram_fraction([1, 2, 3, 1, 2, 3, 1, 2, 3], n=3) > 0
-    assert hn.repeated_ngram_fraction(list(range(20)), n=4) == 0.0
+@pytest.mark.parametrize("ids, n, want", [
+    pytest.param([1, 2, 3, 1, 2, 3, 1, 2, 3], 3, 4 / 7, id="periodic"),  # 3 of 7 distinct
+    pytest.param(list(range(20)), 4, 0.0, id="distinct"),
+    pytest.param([], 2, 0.0, id="empty"),
+    pytest.param([1, 2], 3, 0.0, id="shorter-than-n"),
+    pytest.param([1, 2, 3], 3, 0.0, id="len-n"),
+    pytest.param([1, 2, 3, 4], 3, 0.0, id="len-n-plus-1"),
+    pytest.param([2, 2, 2, 2], 3, 1 / 2, id="len-n-plus-1-repeat"),
+    pytest.param([1, 2, 1, 3, 2, 1], 1, 1 / 2, id="unigrams"),      # 3 of 6 distinct
+    pytest.param([9, 9, 9, 9, 9, 9], 2, 4 / 5, id="all-equal"),     # 1 of 5 distinct
+    pytest.param([1, 2, 3, 4, 5, 1, 2], 2, 1 / 6, id="repeat-at-end"),
+])
+def test_repeated_ngram_fraction(ids, n, want):
+    assert hn.repeated_ngram_fraction(ids, n=n) == want
 
 
 def test_test_time_only_zero_step_equals_baseline(small_ckpt):
