@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConfigError, InputError, ShapeError, layernorm_bwd, layernorm_fwd
+from .numerics import (ConfigError, InputError, ShapeError, check_field_types, layernorm_bwd,
+                       layernorm_fwd)
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
@@ -61,6 +62,7 @@ class BackboneConfig:
     seed: int = 0
 
     def validate(self):
+        check_field_types(self)
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

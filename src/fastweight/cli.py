@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import backbone as bb
-from . import harness, head, oracle
+from . import harness, oracle
 from . import training as tr
 from .checkpoint import load_checkpoint
 from .corpus import ingest
@@ -21,16 +21,14 @@ from .numerics import ConfigError, InputError, NumericalError, ShapeError, State
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    defaults = tr.TrainConfig()
     for f in dataclasses.fields(tr.TrainConfig):
         flag = "--" + f.name.replace("_", "-")
-        default = getattr(defaults, f.name)
         if f.name == "mode":
-            p.add_argument(flag, choices=tr.MODES, default=None)
-        elif isinstance(default, bool):
+            p.add_argument(flag, choices=tr.MODES)
+        elif f.type is bool:
             p.add_argument(flag, action="store_true", default=None)
         else:
-            p.add_argument(flag, type=type(default), default=None)
+            p.add_argument(flag, type=f.type)
 
 
 def _build_parser():
@@ -43,16 +41,10 @@ def _build_parser():
     t.add_argument("--out", required=True, help="output directory")
     t.add_argument("--tokenizer", choices=("char", "word"), default="char")
     t.add_argument("--config", help="JSON file overriding train/model settings")
-    t.add_argument("--d-model", type=int, default=64)
-    t.add_argument("--n-layers", type=int, default=2)
-    t.add_argument("--n-heads", type=int, default=4)
-    t.add_argument("--d-ff", type=int, default=256)
-    t.add_argument("--d-hidden", type=int, default=64)
-    t.add_argument("--max-seq-len", type=int, default=128)
-    t.add_argument("--memory-len", type=int, default=0)
-    t.add_argument("--chunk-size", type=int, default=64)
-    t.add_argument("--fast-mask", default=",".join(head.MASK_ALL),
-                   help="comma-separated head tensors receiving fast weights")
+    for flag in ("--d-model", "--n-layers", "--n-heads", "--d-ff", "--d-hidden",
+                 "--max-seq-len", "--memory-len", "--chunk-size"):
+        t.add_argument(flag, type=int)
+    t.add_argument("--fast-mask", help="comma-separated head tensors receiving fast weights")
     t.add_argument("--resume", help="checkpoint to resume from")
     _add_train_flags(t)
 
@@ -108,69 +100,57 @@ def _load_corpus_like(ckpt, path):
     return ingest(path, tok if tok is not None else "char")
 
 
-# The JSON values that may stand for a config field of each annotated type
-# (bool is an int subclass, so a bool is accepted only for a bool field).
-_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, tuple[str, ...]: list}
-
-
 def _read_config(path) -> dict:
     """The --config file: {"train": {TrainConfig fields}, "model":
     {ModelConfig or BackboneConfig fields but vocab_size, which the corpus
-    sets}}, each section optional."""
+    sets}}, each section optional. The configs' validate() checks the values."""
     with open(path) as fh:
         try:
             overrides = json.load(fh)
         except ValueError as e:
             raise ConfigError(f"{path} is not valid JSON: {e}") from e
-    known = {"train": {f.name: f.type for f in dataclasses.fields(tr.TrainConfig)},
-             "model": {f.name: f.type for c in (tr.ModelConfig, bb.BackboneConfig)
-                       for f in dataclasses.fields(c)
-                       if f.name not in ("backbone", "vocab_size")}}
+    known = {"train": _names(tr.TrainConfig),
+             "model": (_names(tr.ModelConfig) | _names(bb.BackboneConfig))
+             - {"backbone", "vocab_size"}}
     if (not isinstance(overrides, dict) or set(overrides) - set(known)
             or not all(isinstance(v, dict) for v in overrides.values())):
         raise ConfigError(f"{path} must hold a JSON object with only \"train\" "
                           "and \"model\" objects")
     for section, value in overrides.items():
-        if set(value) - set(known[section]):
+        if set(value) - known[section]:
             raise ConfigError(f"{path}: unknown {section} settings "
-                              f"{sorted(set(value) - set(known[section]))}")
-        for name, v in value.items():
-            want = known[section][name]
-            if not isinstance(v, _JSON_TYPES[want]) or (isinstance(v, bool) and want is not bool):
-                raise ConfigError(f"{path}: {section} setting {name!r} has the wrong "
-                                  f"type: {json.dumps(v)}")
+                              f"{sorted(set(value) - known[section])}")
     return overrides
 
 
+def _names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _pick(cls, settings: dict) -> dict:
+    return {k: v for k, v in settings.items() if k in _names(cls)}
+
+
 def cmd_train(args) -> int:
-    tcfg_kwargs = {}
-    for f in dataclasses.fields(tr.TrainConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            tcfg_kwargs[f.name] = v
+    """Each config is built from the flags given, then the --config
+    overrides; a setting set by neither keeps its dataclass default, but the
+    backbone seed defaults to the train seed."""
     overrides = _read_config(args.config) if args.config else {}
-    tcfg_kwargs.update(overrides.get("train", {}))
-    tcfg = tr.TrainConfig(**tcfg_kwargs).validate()
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    if "fast_mask" in flags:
+        flags["mask"] = tuple(n for n in flags["fast_mask"].split(",") if n)
+    train = {**_pick(tr.TrainConfig, flags), **overrides.get("train", {})}
+    tcfg = tr.TrainConfig(**train).validate()
 
     corpus = ingest(args.train, args.tokenizer)
     dev = ingest(args.dev, corpus.tokenizer) if args.dev else None
-    mask = tuple(n for n in args.fast_mask.split(",") if n)
-    bcfg = bb.BackboneConfig(
-        vocab_size=corpus.vocab_size, d_model=args.d_model,
-        n_layers=args.n_layers, n_heads=args.n_heads, d_ff=args.d_ff,
-        max_seq_len=args.max_seq_len, memory_len=args.memory_len,
-        seed=tcfg.seed)
-    mcfg = tr.ModelConfig(backbone=bcfg, d_hidden=args.d_hidden, mask=mask,
-                          chunk_size=args.chunk_size)
-    for k, v in overrides.get("model", {}).items():
-        if k == "mask":
-            mcfg.mask = tuple(v)
-        elif hasattr(mcfg.backbone, k):
-            setattr(mcfg.backbone, k, v)
-        else:
-            setattr(mcfg, k, v)
-    mcfg.validate()
-    if "seq_len" not in tcfg_kwargs:  # train on every position that scoring reads
+    model = {**flags, "seed": tcfg.seed, **overrides.get("model", {}),
+             "vocab_size": corpus.vocab_size}
+    if isinstance(model.get("mask"), list):  # JSON has no tuples
+        model["mask"] = tuple(model["mask"])
+    bcfg = bb.BackboneConfig(**_pick(bb.BackboneConfig, model))
+    mcfg = tr.ModelConfig(bcfg, **_pick(tr.ModelConfig, model)).validate()
+    if "seq_len" not in train:  # train on every position that scoring reads
         tcfg.seq_len = mcfg.backbone.max_seq_len
     res = tr.fit(corpus, tcfg, mcfg, dev_corpus=dev, out_dir=args.out,
                  resume_from=args.resume, quiet=False)

@@ -469,30 +469,25 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
         H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
                                             backward=False)
         carry = StreamCarry(memory, carry.state(gammas), slow_sums(H, targets))
-    state = carry.state(gammas)
-    H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)
-    kv, h = bb.attention_kv(cache), H[-1]
-    prefix = slow_sums(H[:-1], ids[start + 1:])
-    offsets = {n: state[n] + prefix[n] for n in steps}
     losses = []
-    for i in range(n_tokens):
-        out = hd.generate_step(model.head, steps, offsets, h, temperature, rng)
-        offsets = out.offsets
-        ids.append(out.token)
-        losses.append(out.fast_loss)
-        if i + 1 == n_tokens:
-            break  # nothing reads the next position
-        pos = len(ids) - 1 - start
-        if pos < L:
-            h, kv, memory = bb.encode_next(model.backbone, out.token, pos, kv, memory)
-            continue
+    while True:  # from the current segment's start
+        state = carry.state(gammas)
+        H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)
+        kv, h = bb.attention_kv(cache), H[-1]
+        prefix = slow_sums(H[:-1], ids[start + 1:])
+        offsets = {n: state[n] + prefix[n] for n in steps}
+        for pos in range(len(ids) - start, L + 1):  # the sampled token's position
+            out = hd.generate_step(model.head, steps, offsets, h, temperature, rng)
+            offsets = out.offsets
+            ids.append(out.token)
+            losses.append(out.fast_loss)
+            if len(losses) == n_tokens:  # nothing reads the next position
+                return Generation(ids, np.array(losses))
+            if pos < L:
+                h, kv, memory = bb.encode_next(model.backbone, out.token, pos, kv, memory)
         # the segment is full: it is memory now, and its gradients are pending
         start += L
         carry = StreamCarry(memory, state, {n: offsets[n] - state[n] for n in steps})
-        state = offsets = carry.state(gammas)
-        H, cache, memory = bb.encode_with_cache(model.backbone, [out.token], carry.memory)
-        kv, h = bb.attention_kv(cache), H[-1]
-    return Generation(ids, np.array(losses))
 
 
 def generate(ckpt: CheckpointData, prompt: str, n_tokens: int,

@@ -8,6 +8,9 @@ Conventions: row-major, positions are rows; weight matrices are laid out
 (d_in, d_out) so the forward is `x @ W`.
 """
 
+import dataclasses
+import sys
+
 import numpy as np
 
 LN_EPS = 1e-5
@@ -19,6 +22,24 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration field is invalid."""
+
+
+def check_field_types(config):
+    """Raise ConfigError unless each field of the dataclass `config` holds its
+    annotated type: a bool only for a bool field (bool is an int subclass), an
+    int or a finite float for a float field (an int too large for a float is
+    not finite), a tuple of str for tuple[str, ...], an instance otherwise."""
+    for f in dataclasses.fields(config):
+        v = getattr(config, f.name)
+        if f.type is float:
+            ok = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+        elif f.type == tuple[str, ...]:
+            ok = isinstance(v, tuple) and all(isinstance(n, str) for n in v)
+        else:
+            ok = isinstance(v, f.type)
+        if not ok or (isinstance(v, bool) and f.type is not bool):
+            want = "a finite number" if f.type is float else f"of type {f.type.__name__}"
+            raise ConfigError(f"{f.name} must be {want}, got {v!r}")
 
 
 class InputError(ValueError):

@@ -23,7 +23,6 @@ one scoring loop (`score_streams`), shared by `fit`'s dev NLL and
 """
 
 import dataclasses
-import sys
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from . import backbone as bb
 from . import head as hd
 from .corpus import Corpus
 from .linear_attention import KVState, causal_linear_attention_vjp
-from .numerics import (ConfigError, NumericalError, layernorm_dx,
+from .numerics import (ConfigError, NumericalError, check_field_types, layernorm_dx,
                        reverse_exclusive_cumsum_rows)
 
 MODES = ("full", "slow-only", "fwl-finetune")
@@ -54,18 +53,17 @@ class ModelConfig:
     gamma_init: float = 0.9
 
     def validate(self):
+        check_field_types(self)
         self.backbone.validate()
         if self.d_hidden <= 0:
             raise ConfigError(f"d_hidden must be positive, got {self.d_hidden}")
         if self.chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if not np.isfinite(self.alpha_init):
-            raise ConfigError(f"alpha_init must be finite, got {self.alpha_init}")
         if not 0.0 < self.gamma_init < 1.0:
             raise ConfigError(f"gamma_init must lie in (0, 1), got {self.gamma_init}")
-        bad = [n for n in self.mask if n not in hd.TENSOR_NAMES]
-        if bad:
-            raise ConfigError(f"unknown tensors in mask: {bad}")
+        if not set(self.mask) <= set(hd.TENSOR_NAMES) or len(set(self.mask)) < len(self.mask):
+            raise ConfigError(f"mask must name distinct tensors of {hd.TENSOR_NAMES}, "
+                              f"got {list(self.mask)}")
         return self
 
 
@@ -321,13 +319,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        """Comparisons are written so that NaN fails them; a float setting
-        must also be finite (an integer too large for a float is not)."""
+        check_field_types(self)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for f in dataclasses.fields(self):
-            if f.type is float and not abs(getattr(self, f.name)) <= sys.float_info.max:
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("learning_rate", "batch_size", "seq_len", "total_steps", "eval_every",
                      "clip_norm", "eps"):
             if not getattr(self, name) > 0:

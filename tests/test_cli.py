@@ -11,7 +11,7 @@ from fastweight import backbone as bb
 from fastweight import harness
 from fastweight import training as tr
 from fastweight.checkpoint import load_checkpoint, save_checkpoint
-from fastweight.cli import main
+from fastweight.cli import _build_parser, main
 from fastweight.corpus import ingest, make_entity_corpus
 
 
@@ -412,6 +412,55 @@ def test_bad_train_config_is_config_error(workdir, tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("field, value", [("n_heads", 2.0), ("memory_len", 2.0),
+                                          ("chunk_size", 4.0), ("d_model", 8.0),
+                                          ("d_hidden", 4.0), ("n_layers", True)])
+def test_ckpt_setting_of_the_wrong_type_is_config_error(workdir, tmp_path, capsys, field, value):
+    # the first three loaded and then crashed scoring with a TypeError, and
+    # n_layers true loaded as a one-layer model; the CRC is valid throughout
+    def retype(model):
+        cfg = model.config
+        setattr(cfg.backbone if hasattr(cfg.backbone, field) else cfg, field, value)
+
+    ckpt = _resaved(workdir, tmp_path, retype)
+    rc = main(["score", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
+               "--variant", "fwl"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1 and field in err
+    assert out == ""
+
+
+def test_repeated_fast_mask_name_is_refused_before_any_output(workdir, tmp_path, capsys):
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--fast-mask", "W,W", "--total-steps", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'W', 'W'" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_train_flags_leave_every_default_to_its_dataclass():
+    args = vars(_build_parser().parse_args(["train", "--train", "t.txt", "--out", "run"]))
+    fields = {f.name for c in (tr.TrainConfig, tr.ModelConfig, bb.BackboneConfig)
+              for f in dataclasses.fields(c)}
+    dests = (fields & set(args)) | {"fast_mask"}
+    assert {"d_model", "n_layers", "n_heads", "d_ff", "d_hidden", "max_seq_len",
+            "memory_len", "chunk_size", "seed", "learning_rate", "streaming"} <= dests
+    assert {d: args[d] for d in dests} == dict.fromkeys(dests)
+
+
+def test_train_without_model_flags_saves_the_default_model_config(workdir, tmp_path, capsys):
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--seed", "3", "--total-steps", "1", "--batch-size", "1"])
+    capsys.readouterr()
+    assert rc == 0
+    vocab = ingest(str(workdir / "train.txt"), "word").vocab_size
+    snap = load_checkpoint(tmp_path / "run" / "final.ckpt")
+    want = tr.ModelConfig(bb.BackboneConfig(vocab, seed=3))
+    assert dataclasses.asdict(snap.model.config) == dataclasses.asdict(want)
 
 
 _CONFIG_FIELDS = {

@@ -564,3 +564,43 @@ def test_failed_checkpoint_overwrite_keeps_the_old_file(tmp_path, monkeypatch):
     assert snap.step == 1
     for k, v in snap.model.named_params():
         assert v.tobytes() == saved[k].tobytes()
+
+
+@pytest.mark.parametrize("cls, field, value, ok", [
+    (tr.TrainConfig, "streaming", True, True),
+    (tr.TrainConfig, "streaming", 1, False),            # a bool field takes only a bool
+    (tr.TrainConfig, "batch_size", 2, True),
+    (tr.TrainConfig, "batch_size", 2.0, False),         # an int field takes no float
+    (tr.TrainConfig, "batch_size", True, False),        # nor a bool
+    (tr.TrainConfig, "learning_rate", 1, True),         # a float field takes an int
+    (tr.TrainConfig, "learning_rate", True, False),
+    (tr.TrainConfig, "learning_rate", float("inf"), False),
+    (tr.TrainConfig, "learning_rate", 10 ** 400, False),  # too large for a float
+    (tr.TrainConfig, "learning_rate", "0.1", False),
+    (tr.TrainConfig, "mode", b"full", False),
+    (tr.ModelConfig, "mask", ("W",), True),
+    (tr.ModelConfig, "mask", ["W"], False),
+    (tr.ModelConfig, "mask", (1,), False),
+    (tr.ModelConfig, "alpha_init", float("nan"), False),
+    (tr.ModelConfig, "backbone", {"vocab_size": 5}, False),
+    (bb.BackboneConfig, "n_heads", 2.0, False),
+    (bb.BackboneConfig, "seed", True, False),
+])
+def test_configs_check_their_field_types(cls, field, value, ok):
+    if cls is tr.TrainConfig:
+        cfg = tr.TrainConfig(**{field: value})
+    elif cls is tr.ModelConfig:
+        cfg = tr.ModelConfig(**{"backbone": bb.BackboneConfig(5), field: value})
+    else:
+        cfg = tr.ModelConfig(bb.BackboneConfig(5, **{field: value}))
+    if ok:
+        assert cfg.validate() is cfg
+    else:
+        with pytest.raises(nm.ConfigError, match=f"^{field} must be"):
+            cfg.validate()
+
+
+def test_model_config_refuses_a_repeated_mask_name():
+    cfg = tr.ModelConfig(bb.BackboneConfig(5), mask=("W", "b", "W"))
+    with pytest.raises(nm.ConfigError, match="distinct"):
+        cfg.validate()
