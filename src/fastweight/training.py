@@ -530,6 +530,8 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
         diff = sorted(k for k in old if k != "backbone" and old[k] != new[k])
         if diff:
             raise ConfigError(f"model settings {diff} differ from those of {resume_from}")
+        if snap.tokenizer and snap.tokenizer.vocab != corpus.tokenizer.vocab:
+            raise ConfigError(f"the training text's vocabulary differs from that of {resume_from}")
         model = snap.model
         opt_state = snap.opt_state
         start_step = snap.step

@@ -109,9 +109,13 @@ _DROP = object()
     (("tokenizer", "vocab"), _DROP),
     (("train_config",), "full"),
     (("opt_t",), "x"),
+    (("tokenizer", "mode"), "x"),
+    (("tokenizer", "vocab"), "abcde"),
+    (("tokenizer", "vocab"), [1, 2, "c", "d", "<unk>"]),
 ], ids=["list-top-level", "no-model-config", "unknown-backbone-key",
         "unknown-model-config-key", "no-vocab-size", "gamma-init-one",
-        "tokenizer-without-vocab", "train-config-string", "opt-t-string"])
+        "tokenizer-without-vocab", "train-config-string", "opt-t-string",
+        "tokenizer-mode-x", "vocab-string", "vocab-not-strings"])
 def test_malformed_metadata_is_config_error(path, value):
     def edit(meta):
         if not path:

@@ -8,11 +8,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fastweight import backbone as bb
+from fastweight import checkpoint as ck
 from fastweight import harness
 from fastweight import training as tr
 from fastweight.checkpoint import load_checkpoint, save_checkpoint
 from fastweight.cli import _build_parser, main
 from fastweight.corpus import ingest, make_entity_corpus
+from fastweight.numerics import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +238,57 @@ def test_resume_needs_the_checkpoint_model_settings(workdir, tmp_path, capsys, d
         return
     assert rc == 1
     assert err.startswith("error: model settings ['d_model'] differ")
+    assert not os.path.exists(tmp_path / "run")
+
+
+# the model settings of workdir's run, for resuming it
+RUN_FLAGS = ["--d-model", "16", "--n-layers", "1", "--n-heads", "2", "--d-ff", "32",
+             "--d-hidden", "16", "--max-seq-len", "32", "--chunk-size", "16",
+             "--total-steps", "9", "--batch-size", "2", "--seq-len", "24", "--seed", "7"]
+
+
+@pytest.mark.parametrize("case", ["misshapen", "missing"])
+def test_resume_from_a_bad_moment_is_config_error(workdir, tmp_path, capsys, monkeypatch,
+                                                  case):
+    # both files have a valid CRC; a resume used to crash in Adam with a
+    # ValueError (broadcast) or a KeyError
+    snap = load_checkpoint(workdir / "run" / "final.ckpt")
+    ckpt = str(tmp_path / "edited.ckpt")
+    if case == "misshapen":
+        snap.opt_state["m"]["bb.tok_emb"] = np.zeros(3)
+    else:
+        tensors = ck._tensors
+        monkeypatch.setattr(ck, "_tensors", lambda *a: ((k, v) for k, v in tensors(*a)
+                                                        if k != "opt.v.head.U"))
+    save_checkpoint(ckpt, snap.model, snap.train_config, snap.opt_state, snap.step,
+                    snap.tokenizer)
+    monkeypatch.undo()
+    with pytest.raises(ConfigError) as info:
+        load_checkpoint(ckpt)
+    assert str(info.value).count("edited.ckpt") == 1
+    assert ("opt.m.bb.tok_emb" if case == "misshapen" else "opt.v.head.U") in str(info.value)
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--resume", ckpt, *RUN_FLAGS])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {ckpt}") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_resume_on_another_vocabulary_is_refused_before_any_output(workdir, tmp_path,
+                                                                    capsys):
+    # every word renamed: the same vocabulary size, so the model settings match
+    text = (workdir / "train.txt").read_text()
+    other = tmp_path / "other.txt"
+    other.write_text("\n".join(" ".join("z" + w for w in line.split())
+                               for line in text.split("\n")))
+    rc = main(["train", "--train", str(other), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--resume", str(workdir / "run" / "final.ckpt"),
+               *RUN_FLAGS])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "vocabulary" in err and err.count("final.ckpt") == 1
     assert not os.path.exists(tmp_path / "run")
 
 

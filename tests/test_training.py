@@ -430,8 +430,38 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert ka == kb
         np.testing.assert_array_equal(va, vb)
     assert snap.step == 1
-    for k, v in opt["m"].items():
-        np.testing.assert_array_equal(snap.opt_state["m"][k], v)
+    for part in "mv":
+        assert snap.opt_state[part].keys() == opt[part].keys()
+        for k, v in opt[part].items():
+            np.testing.assert_array_equal(snap.opt_state[part][k], v)
+    assert snap.opt_state["t"] == opt["t"] == 1
+    # saving what was loaded gives the same bytes, with and without moments
+    save_checkpoint(tmp_path / "params.ckpt", model, cfg, None, 1, None)
+    for name in ("model.ckpt", "params.ckpt"):
+        snap = load_checkpoint(tmp_path / name)
+        save_checkpoint(tmp_path / "again.ckpt", snap.model, snap.train_config, snap.opt_state,
+                        snap.step, snap.tokenizer)
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_fit_refuses_to_resume_on_another_vocabulary(tmp_path):
+    # the same vocabulary size with other words: every id would name another word
+    def corpus(words):
+        rng = np.random.default_rng(0)
+        return corpus_from_text("\n\n".join(" ".join(rng.choice(words, 20)) for _ in range(4)),
+                                "word")
+
+    old, new = corpus(["alpha", "beta", "gamma", "delta"]), corpus(["one", "two", "three", "four"])
+    assert old.vocab_size == new.vocab_size
+    mc = tr.ModelConfig(bb.BackboneConfig(old.vocab_size, 8, 1, 2, 16, 16), d_hidden=8,
+                        chunk_size=4)
+    cfg = tr.TrainConfig(total_steps=1, batch_size=2, seq_len=12)
+    tr.fit(old, cfg, mc, out_dir=tmp_path / "a")
+    with pytest.raises(nm.ConfigError, match="vocabulary") as info:
+        tr.fit(new, cfg, mc, out_dir=tmp_path / "b", resume_from=tmp_path / "a" / "final.ckpt")
+    assert str(info.value).count("final.ckpt") == 1
+    assert not (tmp_path / "b").exists()
+    tr.fit(old, cfg, mc, out_dir=tmp_path / "c", resume_from=tmp_path / "a" / "final.ckpt")
 
 
 def test_fit_reduces_loss_and_resumes_exactly(tmp_path):
