@@ -173,24 +173,29 @@ _BLOCK = 32  # query rows per attention block
 _FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)  # a block's keys after its query
 
 
-def _attention(lp: LayerParams, x, mem, cfg):
+def _attention(lp: LayerParams, x, mem, cfg, kv=None):
     """Pre-norm causal attention over [mem; x]. Returns (out, cache).
+
+    kv, the head-major (keys, values) of an earlier call on the same segment,
+    stands in for mem: x's rows attend to its rows and then to their own.
 
     Queries run in blocks of _BLOCK rows; a block whose rows end at i1 is
     scored against keys [:M + i1] only, so the masked half of the (h, T, M+T)
     scores is neither computed nor held. Only each block's diagonal corner
     needs the mask, and each block's softmax sees all of its keys.
     """
-    M = mem.shape[0]
-    xm = np.vstack([mem, x]) if M else x
-    y, ln_cache = layernorm_fwd(xm, lp.ln1_g, lp.ln1_b)
     T = x.shape[0]
+    xm = np.vstack([mem, x]) if kv is None and mem.shape[0] else x
+    y, ln_cache = layernorm_fwd(xm, lp.ln1_g, lp.ln1_b)
     hd = cfg.d_model // cfg.n_heads
-    q = y[M:] @ lp.wq + lp.bq
+    q = y[-T:] @ lp.wq + lp.bq
     q /= np.sqrt(hd)  # scale the (T, d) queries, not the scores
     k = y @ lp.wk
     v = y @ lp.wv + lp.bv
     qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
+    if kv is not None:
+        kh, vh = (np.concatenate([old, new], axis=1) for old, new in zip(kv, (kh, vh)))
+    M = kh.shape[1] - T
     ctx = np.empty((T, cfg.d_model))
     ctxh, ws = _split_heads(ctx, cfg.n_heads), []
     for i0 in range(0, T, _BLOCK):
@@ -278,39 +283,47 @@ def _ff_bwd(lp: LayerParams, cache, dout):
     return dx, grads
 
 
-def _check_tokens(params: BackboneParams, tokens: np.ndarray):
+def _check_tokens(params: BackboneParams, tokens: np.ndarray, start: int):
     cfg = params.cfg
     if tokens.ndim != 1 or tokens.shape[0] == 0:
         raise InputError(f"expected a non-empty 1-d token sequence, got shape {tokens.shape}")
-    if tokens.shape[0] > cfg.max_seq_len:
+    if start + tokens.shape[0] > cfg.max_seq_len:
         raise InputError(
-            f"sequence length {tokens.shape[0]} exceeds max_seq_len {cfg.max_seq_len}")
+            f"sequence length {start + tokens.shape[0]} exceeds max_seq_len {cfg.max_seq_len}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise InputError(f"token id out of vocabulary (size {cfg.vocab_size})")
 
 
 def encode_with_cache(params: BackboneParams, tokens,
-                      memory: SegmentMemory | None = None, backward: bool = True):
+                      memory: SegmentMemory | None = None, backward: bool = True,
+                      prefix=None):
     """Returns (H (T, d_model), cache, new SegmentMemory or None).
 
     With backward False no encode_backward reads this pass: cache is None,
     and each layer's caches are dropped as soon as the layer has used them.
+
+    prefix, the cache of an earlier call on the same segment, continues it:
+    tokens take the next positions and attend to its keys and values too, and
+    memory is the memory that call returned. Such a cache is forward-only
+    (encode_backward cannot read it); it serves as the next call's prefix.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    _check_tokens(params, tokens)
+    start = prefix[3] if prefix is not None else 0
+    _check_tokens(params, tokens, start)
     cfg = params.cfg
     T = tokens.shape[0]
-    x = params.tok_emb[tokens] + params.pos_emb[:T]
+    x = params.tok_emb[tokens] + params.pos_emb[start:start + T]
     mems = memory.activations if memory is not None else [
         np.zeros((0, cfg.d_model))] * cfg.n_layers
     if memory is not None and len(mems) != cfg.n_layers:
         raise ShapeError(f"memory has {len(mems)} layers, config wants {cfg.n_layers}")
+    kvs = [a[3:5] for a, _ in prefix[1]] if prefix is not None else [None] * cfg.n_layers
     layer_caches = []
     new_mem = []
     for li, lp in enumerate(params.layers):
         if cfg.memory_len:
             new_mem.append(np.vstack([mems[li], x])[-cfg.memory_len:].copy())
-        attn, a_cache = _attention(lp, x, mems[li], cfg)
+        attn, a_cache = _attention(lp, x, mems[li], cfg, kvs[li])
         if not backward:
             a_cache = None  # free the attention weights before the FF allocates
         x = x + attn
@@ -320,53 +333,9 @@ def encode_with_cache(params: BackboneParams, tokens,
             layer_caches.append((a_cache, f_cache))
         del f_cache  # held by layer_caches, or freed before the next layer
     H, lnf_cache = layernorm_fwd(x, params.lnf_g, params.lnf_b)
-    cache = (tokens, layer_caches, lnf_cache) if backward else None
+    cache = (tokens, layer_caches, lnf_cache, start + T) if backward else None
     out_mem = SegmentMemory(new_mem) if cfg.memory_len else None
     return H, cache, out_mem
-
-
-def attention_kv(cache) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer, the head-major (keys, values) over [memory; segment] that
-    encode_with_cache's cache holds: what encode_next attends to."""
-    return [a_cache[3:5] for a_cache, _ in cache[1]]
-
-
-def encode_next(params: BackboneParams, token: int, pos: int, kv,
-                memory: SegmentMemory | None = None):
-    """The context vector of one more position `pos` of a segment.
-
-    kv holds, per layer, the head-major (keys, values) over [memory;
-    positions 0..pos-1]: attention_kv of encode_with_cache's cache, or the kv
-    an earlier call returned. Positions are absolute within a segment, so
-    those rows never change and h equals row pos of encode_with_cache on the
-    whole segment. memory is the memory the positions so far leave, as
-    encode_with_cache returns it (None without segment memory). Returns
-    (h (d_model,), kv, memory), both with this position appended.
-    """
-    cfg = params.cfg
-    if not 0 <= token < cfg.vocab_size:
-        raise InputError(f"token id {token} out of vocabulary (size {cfg.vocab_size})")
-    if not 0 <= pos < cfg.max_seq_len:
-        raise InputError(f"position {pos} outside max_seq_len {cfg.max_seq_len}")
-    x = (params.tok_emb[token] + params.pos_emb[pos])[None, :]
-    new_kv, new_mem = [], []
-    for li, lp in enumerate(params.layers):
-        if cfg.memory_len:
-            new_mem.append(np.vstack([memory.activations[li], x])[-cfg.memory_len:])
-        y, _ = layernorm_fwd(x, lp.ln1_g, lp.ln1_b)
-        q = y @ lp.wq + lp.bq
-        q /= np.sqrt(cfg.d_model // cfg.n_heads)
-        kh, vh = (np.concatenate([old, _split_heads(t, cfg.n_heads)], axis=1)
-                  for old, t in zip(kv[li], (y @ lp.wk, y @ lp.wv + lp.bv)))
-        new_kv.append((kh, vh))
-        w = _split_heads(q, cfg.n_heads) @ kh.transpose(0, 2, 1)  # every cached row is visible
-        w -= w.max(axis=2, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=2, keepdims=True)
-        x = x + (_merge_heads(w @ vh) @ lp.wo + lp.bo)
-        x = x + _ff(lp, x)[0]
-    h, _ = layernorm_fwd(x, params.lnf_g, params.lnf_b)
-    return h[0], new_kv, SegmentMemory(new_mem) if cfg.memory_len else None
 
 
 def encode(params: BackboneParams, tokens) -> np.ndarray:
@@ -377,7 +346,7 @@ def encode(params: BackboneParams, tokens) -> np.ndarray:
 
 def encode_backward(params: BackboneParams, cache, dH):
     """VJP of encode_with_cache. Returns dict key -> gradient array."""
-    tokens, layer_caches, lnf_cache = cache
+    tokens, layer_caches, lnf_cache, _ = cache
     cfg = params.cfg
     grads = {}
     dx, grads["lnf_g"], grads["lnf_b"] = layernorm_bwd(lnf_cache, dH)

@@ -27,14 +27,14 @@ VERSION = 2
 
 
 def _write_tensor(write, name: str, arr: np.ndarray):
-    data = np.asarray(arr, dtype="<f8")  # tobytes() copies, contiguity not needed
+    data = np.asarray(arr, dtype="<f8", order="C")  # write reads its buffer, copying once
     nb = name.encode("utf-8")
     write(struct.pack("<I", len(nb)))
     write(nb)
     write(struct.pack("<I", data.ndim))
     for dim in data.shape:
         write(struct.pack("<Q", dim))
-    write(data.tobytes())
+    write(data)
 
 
 def _tensors(model: Model, opt_state: dict | None):

@@ -61,15 +61,16 @@ class ScoreResult:
     nll_docs: list[np.ndarray]   # one array per document, aligned to targets
     tokens_per_sec: float
     n_tokens: int
+    slow_nll_docs: list[np.ndarray]  # the same pass without fast weights: baseline's NLLs
 
 
-def _score_result(nll_docs: list[np.ndarray], wall: float) -> ScoreResult:
+def _score_result(nll_docs: list[np.ndarray], wall: float, slow_nll_docs) -> ScoreResult:
     """A mean NLL past ~709 overflows exp to an infinite perplexity; that is
     the result, not a warning (the CLI turns it into exit 3)."""
     total = np.concatenate(nll_docs) if nll_docs else np.zeros(0)
     with np.errstate(over="ignore"):
         ppl = float(np.exp(total.mean())) if total.size else float("nan")
-    return ScoreResult(ppl, nll_docs, total.size / max(wall, 1e-9), total.size)
+    return ScoreResult(ppl, nll_docs, total.size / max(wall, 1e-9), total.size, slow_nll_docs)
 
 
 def score(ckpt: CheckpointData, corpus: Corpus, variant: str = "baseline",
@@ -83,9 +84,9 @@ def score(ckpt: CheckpointData, corpus: Corpus, variant: str = "baseline",
     steps = _variant_steps(model, variant, global_step)
     t0 = time.perf_counter()
     with np.errstate(all="ignore"):
-        nll_docs = score_streams(
+        nll_docs, slow_nll_docs = score_streams(
             model, [list(doc_segments(doc, seq_len)) for doc in corpus.documents], steps)
-    return _score_result(nll_docs, time.perf_counter() - t0)
+    return _score_result(nll_docs, time.perf_counter() - t0, slow_nll_docs)
 
 
 def _grid_search(grid, perplexity_at) -> tuple[float, float]:
@@ -151,7 +152,7 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
                 for key, g in res.grads.items():
                     params[key] -= step_size * g
             nll_docs.append(np.concatenate(nlls) if nlls else np.zeros(0))
-    return _score_result(nll_docs, time.perf_counter() - t0)
+    return _score_result(nll_docs, time.perf_counter() - t0, nll_docs)
 
 
 @dataclass
@@ -432,11 +433,11 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     The text is walked in score's segments of max_seq_len positions, with a
     StreamCarry threaded across them as in score_streams. The prompt's whole
     segments are one stream. The current segment's prefix is encoded once,
-    and each sampled token then encodes one position against its per-layer
-    keys and values (bb.encode_next). The sampler's offsets are the state the
-    segment reads plus the slow gradients of its positions so far. A full
-    segment becomes memory, and its pending sums are the offsets minus that
-    state.
+    and each sampled token then continues it by one position (the last
+    encode_with_cache's cache as prefix). The sampler's offsets are the
+    state the segment reads plus the slow gradients of its positions so far.
+    A full segment becomes memory, and its pending sums are the offsets
+    minus that state.
     """
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
@@ -473,18 +474,18 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     while True:  # from the current segment's start
         state = carry.state(gammas)
         H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)
-        kv, h = bb.attention_kv(cache), H[-1]
-        prefix = slow_sums(H[:-1], ids[start + 1:])
-        offsets = {n: state[n] + prefix[n] for n in steps}
+        sums = slow_sums(H[:-1], ids[start + 1:])
+        offsets = {n: state[n] + sums[n] for n in steps}
         for pos in range(len(ids) - start, L + 1):  # the sampled token's position
-            out = hd.generate_step(model.head, steps, offsets, h, temperature, rng)
+            out = hd.generate_step(model.head, steps, offsets, H[-1], temperature, rng)
             offsets = out.offsets
             ids.append(out.token)
             losses.append(out.fast_loss)
             if len(losses) == n_tokens:  # nothing reads the next position
                 return Generation(ids, np.array(losses))
             if pos < L:
-                h, kv, memory = bb.encode_next(model.backbone, out.token, pos, kv, memory)
+                H, cache, memory = bb.encode_with_cache(model.backbone, [out.token], memory,
+                                                        prefix=cache)
         # the segment is full: it is memory now, and its gradients are pending
         start += L
         carry = StreamCarry(memory, state, {n: offsets[n] - state[n] for n in steps})
@@ -496,7 +497,7 @@ def generate(ckpt: CheckpointData, prompt: str, n_tokens: int,
     """Sample text: the prompt, then n_tokens drawn one at a time from the
     model that `score` evaluates (see generate_ids): the prompt's whole
     segments and the current segment's prefix are encoded once, then each
-    sampled token encodes one backbone position against a key/value cache.
+    sampled token continues the segment by one backbone position.
     A prompt word or character outside the vocabulary becomes UNK, with a
     UserWarning."""
     if ckpt.tokenizer is None:

@@ -449,23 +449,25 @@ def make_windows(documents: list[np.ndarray], seq_len: int):
     return [seg for doc in documents for seg in doc_segments(doc, seq_len)]
 
 
-def score_streams(model: Model, streams, steps: hd.StepSizes) -> list[np.ndarray]:
+def score_streams(model: Model, streams, steps: hd.StepSizes):
     """Per-token NLL of each stream, a list of (tokens, targets) segments.
 
     A StreamCarry threads backbone memory and fast state across the segments
     of a stream, as in streaming training, and restarts with each stream.
-    With empty steps these are the slow losses, else the fast-pass losses
-    under those step sizes.
+    Returns (NLLs, slow NLLs), one array per stream in each: the fast-pass
+    losses under those step sizes, and the slow losses the same pass read,
+    which are the NLLs under empty steps.
     """
     gammas = model.gammas()
-    nll_streams = []
+    nll_streams, slow_streams = [], []
     for stream in streams:
-        nlls = []
+        nlls, slow = [], []
         carry = StreamCarry.fresh(model, steps)
         for i, (tokens, targets) in enumerate(stream):
             H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
                                                 backward=False)
             tape, losses = hd.slow_forward(model.head, H, targets)
+            slow.append(losses)
             state, pending = carry.state(gammas), {}
             if steps:
                 grads = hd.per_position_grads(model.head, tape)
@@ -476,7 +478,8 @@ def score_streams(model: Model, streams, steps: hd.StepSizes) -> list[np.ndarray
             nlls.append(losses)
             carry = StreamCarry(memory, state, pending)
         nll_streams.append(np.concatenate(nlls) if nlls else np.zeros(0))
-    return nll_streams
+        slow_streams.append(np.concatenate(slow) if slow else np.zeros(0))
+    return nll_streams, slow_streams
 
 
 def _epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
@@ -606,7 +609,7 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
             if (step + 1) % config.eval_every == 0 or step + 1 == config.total_steps:
                 # every dev window is scored as its own stream
                 steps = {} if config.mode == "slow-only" else model.step_sizes()
-                nlls = score_streams(model, dev_streams, steps)
+                nlls, _ = score_streams(model, dev_streams, steps)
                 dev_nll = sum(float(n.sum()) for n in nlls) / max(sum(n.size for n in nlls), 1)
                 record["dev_nll"] = dev_nll
                 record["dev_ppl"] = float(np.exp(min(dev_nll, 700.0)))

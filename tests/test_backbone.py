@@ -194,23 +194,29 @@ def test_forward_only_encode_is_bit_equal_to_the_cached_walk(memory_len):
             assert memory is None and want_memory is None
 
 
-@pytest.mark.parametrize("memory_len,max_seq_len,prefix", [
-    pytest.param(0, 12, 3, id="0"), pytest.param(5, 12, 3, id="5"),
+@pytest.mark.parametrize("memory_len,max_seq_len,prefix,step", [
+    pytest.param(0, 12, 3, 1, id="0"), pytest.param(5, 12, 3, 1, id="5"),
     # a two-block prefix, stepped on across the third block's start
-    pytest.param(0, 96, 40, id="multi-block-0"), pytest.param(45, 96, 40, id="multi-block-45")])
-def test_encode_next_matches_encode_with_cache_rows(memory_len, max_seq_len, prefix):
-    # a segment encoded as a prefix and then one position at a time gives
-    # encode_with_cache's rows of the whole segment, and its memory
+    pytest.param(0, 96, 40, 1, id="multi-block-0"),
+    pytest.param(45, 96, 40, 1, id="multi-block-45"),
+    # 30 positions in one call after a 40-position prefix, across the 64-row
+    # block boundary, then the last 26 in another
+    pytest.param(0, 96, 40, 30, id="several-0"), pytest.param(45, 96, 40, 30, id="several-45")])
+def test_encode_next_matches_encode_with_cache_rows(memory_len, max_seq_len, prefix, step):
+    # a segment encoded as a prefix and then continued `step` positions at a
+    # time (prefix=cache) gives the rows of one call on the whole segment,
+    # and its memory
     params = bb.init_backbone(tiny_config(memory_len=memory_len, max_seq_len=max_seq_len))
     rng = np.random.default_rng(3)
     _, _, memory = bb.encode_with_cache(params, rng.integers(0, 11, size=max_seq_len))
     seg = rng.integers(0, 11, size=max_seq_len)
     H, _, want_memory = bb.encode_with_cache(params, seg, memory)
     rows, cache, memory = bb.encode_with_cache(params, seg[:prefix], memory)
-    kv, rows = bb.attention_kv(cache), list(rows)
-    for pos in range(prefix, max_seq_len):
-        h, kv, memory = bb.encode_next(params, int(seg[pos]), pos, kv, memory)
-        rows.append(h)
+    rows = list(rows)
+    for pos in range(prefix, max_seq_len, step):
+        h, cache, memory = bb.encode_with_cache(params, seg[pos:pos + step], memory,
+                                                prefix=cache)
+        rows.extend(h)
     assert np.max(np.abs(np.array(rows) - H)) <= 1e-12
     if memory_len:
         for got, want in zip(memory.activations, want_memory.activations):
@@ -218,7 +224,7 @@ def test_encode_next_matches_encode_with_cache_rows(memory_len, max_seq_len, pre
     else:
         assert memory is None
     with pytest.raises(InputError):
-        bb.encode_next(params, 0, max_seq_len, kv, memory)  # past max_seq_len
+        bb.encode_with_cache(params, [0], memory, prefix=cache)  # past max_seq_len
 
 
 def test_encode_causality_bit_exact():

@@ -159,6 +159,28 @@ def test_analyze_writes_csv(workdir, tmp_path, capsys):
         "last_decile_improvement": round(deciles[-1]["improvement"], 5)}
 
 
+def test_analyze_encodes_each_segment_once(workdir, tmp_path, monkeypatch, capsys):
+    # the baseline NLLs are the fwl pass's own slow losses, so analyze runs
+    # one scoring pass: one backbone encode per segment
+    ckpt = str(workdir / "run" / "final.ckpt")
+    calls = []
+    with_cache = bb.encode_with_cache
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return with_cache(*args, **kwargs)
+
+    monkeypatch.setattr(bb, "encode_with_cache", counted)
+    rc = main(["analyze", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),
+               "--csv", str(tmp_path / "buckets.csv")])
+    capsys.readouterr()
+    assert rc == 0
+    loaded = load_checkpoint(ckpt)
+    L = loaded.model.config.backbone.max_seq_len
+    docs = ingest(workdir / "dev.txt", loaded.tokenizer).documents
+    assert len(calls) == sum(len(list(tr.doc_segments(d, L))) for d in docs) > len(docs)
+
+
 def test_bench_reports(workdir, capsys):
     ckpt = str(workdir / "run" / "final.ckpt")
     rc = main(["bench", "--ckpt", ckpt, "--corpus", str(workdir / "dev.txt"),

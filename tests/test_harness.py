@@ -461,18 +461,13 @@ def test_generate_encodes_one_position_per_sample(monkeypatch, prompt_len, n):
     # the prompt once, then one position per sampled token but the last
     ckpt = _generation_ckpt(0)
     positions = []
-    with_cache, next_one = bb.encode_with_cache, bb.encode_next
+    with_cache = bb.encode_with_cache
 
     def counted_with_cache(params, tokens, memory=None, **kwargs):
         positions.append(len(tokens))
         return with_cache(params, tokens, memory, **kwargs)
 
-    def counted_next(*args):
-        positions.append(1)
-        return next_one(*args)
-
     monkeypatch.setattr(bb, "encode_with_cache", counted_with_cache)
-    monkeypatch.setattr(bb, "encode_next", counted_next)
     hn.generate_ids(ckpt.model, np.zeros(prompt_len, dtype=int), n)
     assert sum(positions) == (prompt_len + n - 1 if n else 0)
 

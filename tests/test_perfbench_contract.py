@@ -110,3 +110,15 @@ def test_traced_eval_run_is_correct():
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert math.isfinite(result["metrics"]["backbone.encode.useful_ratio"]["value"])
+
+
+def test_traced_generate_run_traces_every_position():
+    # every position generation encodes goes through encode_with_cache, so
+    # the traced run counts exactly one encode per op (one sampled token)
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "generate",
+                          "--tiny", "--trace", "1", "--seconds", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["backbone.encode.calls"]["value"] == 1.0
