@@ -202,10 +202,11 @@ def _attention(lp: LayerParams, x, mem, cfg, kv=None):
         i1 = min(i0 + _BLOCK, T)
         n, e = i1 - i0, M + i1
         w = qh[:, i0:i1] @ kh[:, :e].transpose(0, 2, 1)
-        np.copyto(w[:, :, e - n:], -np.inf, where=_FUTURE[:n, :n])
-        w -= w.max(axis=2, keepdims=True)
+        if n > 1:  # a one-row block has no later key
+            np.copyto(w[:, :, e - n:], -np.inf, where=_FUTURE[:n, :n])
+        w -= np.maximum.reduce(w, axis=2, keepdims=True)
         np.exp(w, out=w)
-        w /= w.sum(axis=2, keepdims=True)
+        w /= np.add.reduce(w, axis=2, keepdims=True)
         np.matmul(w, vh[:, :e], out=ctxh[:, i0:i1])
         ws.append(w)
     out = ctx @ lp.wo + lp.bo
@@ -290,7 +291,7 @@ def _check_tokens(params: BackboneParams, tokens: np.ndarray, start: int):
     if start + tokens.shape[0] > cfg.max_seq_len:
         raise InputError(
             f"sequence length {start + tokens.shape[0]} exceeds max_seq_len {cfg.max_seq_len}")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+    if np.minimum.reduce(tokens) < 0 or np.maximum.reduce(tokens) >= cfg.vocab_size:
         raise InputError(f"token id out of vocabulary (size {cfg.vocab_size})")
 
 

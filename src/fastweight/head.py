@@ -13,7 +13,7 @@ cumulative sums of gradient rows.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,7 +209,8 @@ def output_grads(tape: PositionTape, w: float = 1.0) -> np.ndarray:
     """Gradient of w * sum_t L_t w.r.t. the tape's logits: w * (probs - onehot)."""
     g = tape.probs.copy()
     g[np.arange(g.shape[0]), tape.targets] -= 1.0
-    g *= w
+    if w != 1.0:  # multiplying by 1 is exact
+        g *= w
     return g
 
 
@@ -226,21 +227,22 @@ def head_backward(head: HeadParams, tape: PositionTape, d_logits: np.ndarray,
     input, and d_q, q's gradient, which tap may add into. Since L_t depends
     only on h_t, all T rows come out of one vectorized pass.
     """
-    tap = tap or (lambda *args: None)
     g_u = d_logits @ head.E.T
     if d_u is not None:
         g_u = d_u + g_u
-    tap("E", d_logits, tape.u, g_u)
-    tap("c", d_logits)
+    if tap is not None:
+        tap("E", d_logits, tape.u, g_u)
+        tap("c", d_logits)
     g_ln_gain = g_u * tape.xhat
-    tap("ln_gain", g_ln_gain)
-    tap("ln_bias", g_u)
     g_o = layernorm_dx((tape.xhat, tape.istd, tape.gain), g_u)
     if d_o is not None:
         g_o = d_o + g_o
-    tap("b", g_o)
     g_v = g_o @ head.W.T
-    tap("W", g_o, tape.v, g_v)
+    if tap is not None:
+        tap("ln_gain", g_ln_gain)
+        tap("ln_bias", g_u)
+        tap("b", g_o)
+        tap("W", g_o, tape.v, g_v)
     g_z = g_v * tape.relu_mask
     if d_z is not None:
         g_z = d_z + g_z
@@ -295,7 +297,7 @@ def segment_grad_sums(tape: PositionTape, grads: PositionGrads,
             # off BLAS and is ~4x slower; the results are equal
             sums[name] = np.dot(getattr(tape, KEYS[name]).T, rows)
         else:
-            sums[name] = rows.sum(axis=0)
+            sums[name] = np.add.reduce(rows, axis=0)
     return sums
 
 
@@ -313,9 +315,10 @@ def update_stream_state(prev: dict[str, np.ndarray], pending: dict[str, np.ndarr
 def head_grads_single(head: HeadParams, tape: PositionTape, target: int,
                       mask: Iterable[str]) -> dict[str, np.ndarray]:
     """Full gradients of a one-position slow tape's loss at `target`, for the
-    tensors in mask."""
-    tape = replace(tape, targets=np.array([target]))
-    return segment_grad_sums(tape, per_position_grads(head, tape), mask)
+    tensors in mask: output_grads at `target` in place of the tape's own."""
+    d_logits = tape.probs.copy()
+    d_logits[0, target] -= 1.0
+    return segment_grad_sums(tape, head_backward(head, tape, d_logits), mask)
 
 
 def sample_token(logits: np.ndarray, temperature: float, rng) -> int:
@@ -350,7 +353,9 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: dict[str, np.ndar
     slow, _ = slow_forward(head, as_f64(h)[None, :], [0])
     fast = _layers(head, slow.h, slow.targets, slow, steps,
                    lambda n, q: q @ offsets[n] if n in KEYS else offsets[n])
-    token = sample_token(fast.logits[0], temperature, rng)
+    # at temperature 1 the fast probs, exp(l - max) / sum, are sample_token's p bit for bit
+    token = (int(rng.choice(fast.probs.shape[1], p=fast.probs[0])) if temperature == 1.0
+             else sample_token(fast.logits[0], temperature, rng))
     fast_loss = float(-np.log(fast.probs[0, token]))
     if not steps:
         return GenStep(token, offsets, fast_loss)

@@ -80,13 +80,15 @@ def layernorm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float 
         raise ShapeError(
             f"layernorm gain/bias {gain.shape}/{bias.shape} do not match input {x.shape}"
         )
-    # sum / d is what ndarray.mean computes, without its Python-level overhead
+    # np.add.reduce is ndarray.sum without its Python-level wrapper (sum / d is mean)
     d = x.shape[-1]
-    cdev = x - x.sum(axis=-1, keepdims=True) / d
-    var = (cdev * cdev).sum(axis=-1, keepdims=True) / d
-    istd = 1.0 / np.sqrt(var + eps)
-    xhat = cdev * istd
-    return gain * xhat + bias, (xhat, istd, gain)
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    # not in place: at one row an out= keyword costs more than the (T, 1) array it saves
+    istd = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
+    xhat *= istd
+    y = gain * xhat
+    y += bias
+    return y, (xhat, istd, gain)
 
 
 def layernorm_dx(cache, dy: np.ndarray) -> np.ndarray:
@@ -98,8 +100,8 @@ def layernorm_dx(cache, dy: np.ndarray) -> np.ndarray:
         raise ShapeError(f"dy {dy.shape} does not match forward input {xhat.shape}")
     dxh = dy * gain
     d = dxh.shape[-1]
-    m1 = dxh.sum(axis=-1, keepdims=True) / d
-    m2 = (dxh * xhat).sum(axis=-1, keepdims=True) / d
+    m1 = np.add.reduce(dxh, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxh * xhat, axis=-1, keepdims=True) / d
     return istd * (dxh - m1 - xhat * m2)
 
 
@@ -116,9 +118,9 @@ def layernorm_bwd(cache, dy: np.ndarray):
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis."""
     logits = as_f64(logits)
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax_xent_rows(logits: np.ndarray, targets: np.ndarray):
@@ -131,11 +133,12 @@ def softmax_xent_rows(logits: np.ndarray, targets: np.ndarray):
     T, V = logits.shape
     if targets.shape != (T,):
         raise ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
-    if targets.min(initial=0) < 0 or targets.max(initial=-1) >= V:
+    if (np.minimum.reduce(targets, initial=0) < 0
+            or np.maximum.reduce(targets, initial=-1) >= V):
         raise IndexError("target id out of vocabulary range")
-    m = logits.max(axis=-1, keepdims=True)
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits - m)
-    s = e.sum(axis=-1, keepdims=True)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
     losses = (m + np.log(s))[:, 0] - logits[np.arange(T), targets]
     e /= s
     return losses, e

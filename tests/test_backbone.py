@@ -259,6 +259,15 @@ def test_encode_rejects_overlong_and_oov():
         bb.encode(params, np.array([0, 11]))
 
 
+@pytest.mark.parametrize("token", [-1, 11])
+def test_continued_encode_rejects_a_token_outside_the_vocabulary(token):
+    # the one-token continuation that generation runs checks its token too
+    params = bb.init_backbone(tiny_config())
+    _, cache, _ = bb.encode_with_cache(params, [1, 2, 3])
+    with pytest.raises(InputError, match="vocabulary"):
+        bb.encode_with_cache(params, [token], prefix=cache)
+
+
 def test_gradients_match_directional_finite_difference():
     params = bb.init_backbone(tiny_config())
     rng = np.random.default_rng(2)

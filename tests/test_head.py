@@ -236,6 +236,30 @@ def test_generate_step_zero_alpha_matches_slow_sampling():
     assert out.token == expected
 
 
+def test_generate_step_at_temperature_one_samples_as_sample_token(monkeypatch):
+    # with nonzero step sizes and carried offsets, temperature 1 samples the
+    # fast tape's probs: the token, the fast loss and the random stream are
+    # sample_token's on the fast logits; any other temperature calls it
+    head, steps, H, _ = make_instance(18, T=1, vocab=9, alpha_scale=0.5)
+    rng = np.random.default_rng(5)
+    offsets = {n: rng.normal(size=getattr(head, n).shape) for n in steps}
+    tapes, sampled = [], []
+    layers, sample = hd._layers, hd.sample_token
+    monkeypatch.setattr(hd, "_layers", lambda *a: tapes.append(layers(*a)) or tapes[-1])
+    monkeypatch.setattr(hd, "sample_token", lambda *a: sampled.append(a[1]) or sample(*a))
+    for seed in range(20):
+        for temperature in (1.0, 0.7):
+            tapes.clear()
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = hd.generate_step(head, steps, offsets, H[0], temperature, rng)
+            slow, fast = tapes
+            assert not np.allclose(fast.logits, slow.logits)
+            assert out.token == sample(fast.logits[0], temperature, ref)
+            assert out.fast_loss == -np.log(nm.softmax(fast.logits[0])[out.token])
+            assert rng.random() == ref.random()
+    assert sampled == [0.7] * 20
+
+
 def test_generate_step_makes_one_slow_pass_and_no_kernel_call(monkeypatch):
     # the fast distribution is the head's layers over the position's slow
     # tape, and the sampled token's gradient comes from that same tape

@@ -160,6 +160,36 @@ def test_softmax_xent_rows_matches_per_row_softmax_xent():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("T", [1, 9])
+def test_reductions_are_bit_equal_to_their_textbook_forms(T):
+    # the primitives reduce through np.add.reduce and np.maximum.reduce, which
+    # ndarray.sum and ndarray.max run; the results are the same bits
+    rng = np.random.default_rng(T)
+    d, V = 64, 198
+    x, dy = rng.normal(size=(2, T, d))
+    logits = rng.normal(scale=3.0, size=(T, V))
+    targets = rng.integers(0, V, size=T)
+    for gain in (rng.normal(size=d), rng.normal(size=(T, d))):
+        bias = rng.normal(size=d)
+        y, cache = nm.layernorm_fwd(x, gain, bias)
+        cdev = x - x.sum(axis=-1, keepdims=True) / d
+        istd = 1.0 / np.sqrt((cdev * cdev).sum(axis=-1, keepdims=True) / d + nm.LN_EPS)
+        xhat = cdev * istd
+        assert np.array_equal(y, gain * xhat + bias)
+        assert np.array_equal(cache[0], xhat) and np.array_equal(cache[1], istd)
+        dxh = dy * gain
+        dx = istd * (dxh - dxh.sum(axis=-1, keepdims=True) / d
+                     - xhat * ((dxh * xhat).sum(axis=-1, keepdims=True) / d))
+        assert np.array_equal(nm.layernorm_dx(cache, dy), dx)
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(nm.softmax(logits), e / s)
+    losses, probs = nm.softmax_xent_rows(logits, targets)
+    assert np.array_equal(losses, (m + np.log(s))[:, 0] - logits[np.arange(T), targets])
+    assert np.array_equal(probs, e / s)
+
+
 def test_exclusive_cumsum_single_row():
     np.testing.assert_array_equal(nm.exclusive_cumsum_rows(np.array([[3.0, 4.0]])),
                                   np.zeros((1, 2)))

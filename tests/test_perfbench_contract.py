@@ -122,3 +122,16 @@ def test_traced_generate_run_traces_every_position():
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["metrics"]["backbone.encode.calls"]["value"] == 1.0
+
+
+def test_untraced_generate_run_stamps_every_token():
+    # the untraced run's token clock wraps head.generate_step; a sampled token
+    # it did not stamp would leave no latencies and crash the run
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "generate",
+                          "--tiny", "--seconds", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    p50 = result["metrics"]["op_ms_p50"]["value"]
+    assert math.isfinite(p50) and p50 > 0
