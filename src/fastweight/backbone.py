@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (ConfigError, InputError, ShapeError, check_field_types, layernorm_bwd,
-                       layernorm_fwd)
+from .numerics import (ConfigError, InputError, ShapeError, StateError, check_field_types,
+                       layernorm_bwd, layernorm_fwd)
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 
@@ -347,7 +347,9 @@ def encode(params: BackboneParams, tokens) -> np.ndarray:
 
 def encode_backward(params: BackboneParams, cache, dH):
     """VJP of encode_with_cache. Returns dict key -> gradient array."""
-    tokens, layer_caches, lnf_cache, _ = cache
+    tokens, layer_caches, lnf_cache, end = cache
+    if end != len(tokens):
+        raise StateError("encode_backward cannot read a continued segment's cache (prefix=)")
     cfg = params.cfg
     grads = {}
     dx, grads["lnf_g"], grads["lnf_b"] = layernorm_bwd(lnf_cache, dH)

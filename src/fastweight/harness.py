@@ -17,7 +17,7 @@ from .corpus import UNK, Corpus, token_frequencies
 from .numerics import ConfigError, NumericalError
 # head_slow_vjp is not called here; perfbench's spans.WRAPPED wraps harness.head_slow_vjp
 from .training import (Model, StreamCarry, doc_segments, head_slow_vjp,  # noqa: F401
-                       score_streams, sequence_loss_and_grads)
+                       read_segment, score_streams, sequence_loss_and_grads)
 
 VARIANTS = ("baseline", "fwl", "test-time-only", "bias-only")
 
@@ -142,7 +142,7 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
         for doc in corpus.documents:
             model = base.copy()
             params = dict(model.named_params())
-            carry = StreamCarry.fresh(model, ())
+            carry = StreamCarry.fresh(model)
             nlls = []
             for tokens, targets in doc_segments(doc, seq_len):
                 res = sequence_loss_and_grads(model, tokens, targets, "slow-only", carry,
@@ -431,13 +431,13 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     evaluates: each fast loss equals score's NLL of that token in the text.
 
     The text is walked in score's segments of max_seq_len positions, with a
-    StreamCarry threaded across them as in score_streams. The prompt's whole
-    segments are one stream. The current segment's prefix is encoded once,
-    and each sampled token then continues it by one position (the last
-    encode_with_cache's cache as prefix). The sampler's offsets are the
-    state the segment reads plus the slow gradients of its positions so far.
-    A full segment becomes memory, and its pending sums are the offsets
-    minus that state.
+    StreamCarry threaded across them; the prompt's whole segments are read
+    as score_streams reads them (read_segment). The current segment's prefix
+    is encoded once, and each sampled token continues it by one position
+    (the last encode_with_cache's cache as prefix). The sampler's offsets,
+    which each step adds into in place, are the state the segment reads plus
+    the slow gradients of its positions so far. A full segment becomes
+    memory, and its pending sums are the offsets minus that state.
     """
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
@@ -456,29 +456,24 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     L = model.config.backbone.max_seq_len
     gammas = model.gammas()
     rng = np.random.default_rng(seed)
-
-    def slow_sums(H, targets):
-        """The summed slow gradients of H's positions."""
-        if not steps:
-            return {}
-        tape, _ = hd.slow_forward(model.head, H, targets)
-        return hd.segment_grad_sums(tape, hd.per_position_grads(model.head, tape), steps)
-
     start = (len(ids) - 1) // L * L  # the current segment's first position
-    carry = StreamCarry.fresh(model, steps)
+    carry = StreamCarry.fresh(model)
     for tokens, targets in doc_segments(np.array(ids[:start + 1]), L):
-        H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
-                                            backward=False)
-        carry = StreamCarry(memory, carry.state(gammas), slow_sums(H, targets))
+        tape, grads, state, _, memory = read_segment(model, tokens, targets if steps else None,
+                                                     carry, steps, gammas)
+        carry = StreamCarry.after(memory, tape, grads, state, steps)
     losses = []
     while True:  # from the current segment's start
         state = carry.state(gammas)
         H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)
-        sums = slow_sums(H[:-1], ids[start + 1:])
-        offsets = {n: state[n] + sums[n] for n in steps}
+        offsets = {}
+        if steps:
+            tape, _ = hd.slow_forward(model.head, H[:-1], ids[start + 1:])
+            offsets = hd.segment_grad_sums(tape, hd.per_position_grads(model.head, tape), steps)
+        for n in state or ():
+            offsets[n] += state[n]
         for pos in range(len(ids) - start, L + 1):  # the sampled token's position
             out = hd.generate_step(model.head, steps, offsets, H[-1], temperature, rng)
-            offsets = out.offsets
             ids.append(out.token)
             losses.append(out.fast_loss)
             if len(losses) == n_tokens:  # nothing reads the next position
@@ -488,7 +483,8 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
                                                         prefix=cache)
         # the segment is full: it is memory now, and its gradients are pending
         start += L
-        carry = StreamCarry(memory, state, {n: offsets[n] - state[n] for n in steps})
+        pending = offsets if state is None else {n: offsets[n] - state[n] for n in steps}
+        carry = StreamCarry(memory, state, pending if steps else None)
 
 
 def generate(ckpt: CheckpointData, prompt: str, n_tokens: int,

@@ -334,7 +334,6 @@ def sample_token(logits: np.ndarray, temperature: float, rng) -> int:
 @dataclass
 class GenStep:
     token: int
-    offsets: dict[str, np.ndarray]
     fast_loss: float
 
 
@@ -344,9 +343,9 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: dict[str, np.ndar
 
     Samples from the fast-weight distribution: one slow pass at the position,
     then the head's layers over its tape with each masked tensor offset by
-    its accumulated gradients (q @ offsets for a matrix). Then folds the
+    its accumulated gradients (q @ offsets for a matrix). Then adds the
     gradient of predicting the sampled token -- from the same slow tape --
-    into the offsets.
+    into `offsets` in place, so the caller must own those arrays.
     """
     _check_state(offsets, head, steps)
     # the target is not sampled yet; the tapes' probabilities do not depend on it
@@ -356,8 +355,8 @@ def generate_step(head: HeadParams, steps: StepSizes, offsets: dict[str, np.ndar
     # at temperature 1 the fast probs, exp(l - max) / sum, are sample_token's p bit for bit
     token = (int(rng.choice(fast.probs.shape[1], p=fast.probs[0])) if temperature == 1.0
              else sample_token(fast.logits[0], temperature, rng))
-    fast_loss = float(-np.log(fast.probs[0, token]))
-    if not steps:
-        return GenStep(token, offsets, fast_loss)
-    grads = head_grads_single(head, slow, token, steps)
-    return GenStep(token, {n: offsets[n] + grads[n] for n in steps}, fast_loss)
+    if steps:
+        grads = head_grads_single(head, slow, token, steps)
+        for n in steps:
+            offsets[n] += grads[n]
+    return GenStep(token, float(-np.log(fast.probs[0, token])))

@@ -15,16 +15,15 @@ by hand in three sweeps, mirroring how the loss was built:
 Stream accumulators carried across segments are constants (stop-gradient).
 A StreamCarry holds them lazily, as the state the previous segment read plus
 that segment's summed gradients, so that the decay is applied inside the
-step: the one place the decays touch the loss.
+step: the one place the decays touch the loss. A fresh stream holds none.
 
-The module also holds the one document segmenter (`doc_segments`) and the
-one scoring loop (`score_streams`), shared by `fit`'s dev NLL and
-`harness.score`.
+Also here: the one read of a stream's segment (`read_segment`), the one
+document segmenter (`doc_segments`) and the one scoring loop
+(`score_streams`), shared by `fit`'s dev NLL and `harness.score`.
 """
 
 import dataclasses
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,27 +115,48 @@ def init_model(config: ModelConfig) -> Model:
 @dataclass
 class StreamCarry:
     """Constants threaded between consecutive segments of one text stream:
-    the backbone memory, the fast state the previous segment read, and that
-    segment's summed gradients (segment_grad_sums), not yet decayed in. The
-    decay stays lazy because gamma is trained and d gamma reads delta_prev."""
+    the backbone memory, the fast state the previous segment read (None if
+    it read none, as a stream's first does) and that segment's summed
+    gradients (None without step sizes), not yet decayed in. The decay
+    stays lazy because gamma is trained and d gamma reads delta_prev."""
 
     memory: bb.SegmentMemory | None
-    delta_prev: dict[str, np.ndarray]
-    pending: dict[str, np.ndarray]
+    delta_prev: dict[str, np.ndarray] | None = None
+    pending: dict[str, np.ndarray] | None = None
 
     @staticmethod
-    def fresh(model: Model, mask: Iterable[str] | None = None) -> "StreamCarry":
-        """The carry at the start of a stream, for the fast tensors in mask
-        (the model's own mask by default)."""
-        mem = (bb.SegmentMemory.empty(model.config.backbone)
-               if model.config.backbone.memory_len else None)
-        mask = model.mask if mask is None else mask
-        zeros = {n: np.zeros(getattr(model.head, n).shape) for n in mask}
-        return StreamCarry(mem, zeros, {k: v.copy() for k, v in zeros.items()})
+    def fresh(model: Model) -> "StreamCarry":
+        """The carry at the start of a stream: empty memory, no fast state."""
+        cfg = model.config.backbone
+        return StreamCarry(bb.SegmentMemory.empty(cfg) if cfg.memory_len else None)
 
-    def state(self, gammas: dict[str, float]) -> dict[str, np.ndarray]:
-        """The fast state the next segment reads."""
-        return hd.update_stream_state(self.delta_prev, self.pending, gammas)
+    @staticmethod
+    def after(memory, tape, grads, state, steps: hd.StepSizes) -> "StreamCarry":
+        """The carry a segment hands on, from what read_segment returned: its
+        memory, the state it read and its summed gradients."""
+        return StreamCarry(memory, state,
+                           None if grads is None else hd.segment_grad_sums(tape, grads, steps))
+
+    def state(self, gammas: dict[str, float]) -> dict[str, np.ndarray] | None:
+        """The fast state the next segment reads; None when there is none."""
+        return (self.pending if self.delta_prev is None
+                else hd.update_stream_state(self.delta_prev, self.pending, gammas))
+
+
+def read_segment(model: Model, tokens, targets, carry: StreamCarry | None,
+                 steps: hd.StepSizes, gammas: dict[str, float], backward: bool = False):
+    """One segment of a stream, read as training, scoring and generation all
+    read it: encoded after the carry's memory, its slow pass if there are
+    targets and, with step sizes, its gradient rows and the state it reads.
+    Returns (tape, grads, state, cache, memory), grads and state None without steps."""
+    H, cache, memory = bb.encode_with_cache(model.backbone, tokens,
+                                            carry.memory if carry is not None else None,
+                                            backward=backward)
+    tape = None if targets is None else hd.slow_forward(model.head, H, targets)[0]
+    if not steps:
+        return tape, None, None, cache, memory
+    state = carry.state(gammas) if carry is not None else None
+    return tape, hd.per_position_grads(model.head, tape), state, cache, memory
 
 
 def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
@@ -256,49 +276,35 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    tokens = np.asarray(tokens, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    memory = carry.memory if carry is not None else None
-    H, bcache, new_mem = bb.encode_with_cache(model.backbone, tokens, memory)
-    tape, slow_losses = hd.slow_forward(model.head, H, targets)
+    steps = model.step_sizes() if mode != "slow-only" else {}
+    gammas = model.gammas() if steps else {}
+    tape, pos_grads, state, bcache, memory = read_segment(model, tokens, targets, carry,
+                                                          steps, gammas, backward=True)
     grads_out: dict[str, np.ndarray] = {}
-
-    if mode == "slow-only":
+    if not steps:
         dhead, dH = head_slow_vjp(model.head, tape, w)
-        losses = slow_losses
-        new_carry = None
-        if carry is not None:
-            new_carry = StreamCarry(new_mem, carry.delta_prev, carry.pending)
+        losses = tape.losses
     else:
-        steps = model.step_sizes()
-        pos_grads = hd.per_position_grads(model.head, tape)
-        gammas = model.gammas()
-        state = carry.state(gammas) if carry is not None else None
-        fast = hd.fast_forward(model.head, steps, H, tape, pos_grads,
+        fast = hd.fast_forward(model.head, steps, tape.h, tape, pos_grads,
                                state=state, chunk_size=model.config.chunk_size)
         losses = fast.losses
         dhead, dalpha, ddelta, dH = head_fast_vjp(
-            model.head, steps, H, tape, pos_grads, fast, state,
+            model.head, steps, tape.h, tape, pos_grads, fast, state,
             model.config.chunk_size, w)
+        prev = carry.delta_prev if carry is not None else None
         for n in model.mask:
-            grads_out[f"alpha.{n}"] = np.float64(dalpha.get(n, 0.0))
-            if carry is not None and n in ddelta:
-                g = gammas[n]
-                dgamma = float((ddelta[n] * carry.delta_prev[n]).sum())
-                grads_out[f"gamma.{n}"] = np.float64(dgamma * g * (1.0 - g))
-            else:
-                grads_out[f"gamma.{n}"] = np.float64(0.0)
-        new_carry = None
-        if carry is not None:
-            new_carry = StreamCarry(new_mem, state,
-                                    hd.segment_grad_sums(tape, pos_grads, model.mask))
-
+            g = gammas[n]  # d state / d gamma is the state the previous segment read
+            dgamma = 0.0 if prev is None else float((ddelta[n] * prev[n]).sum()) * g * (1.0 - g)
+            grads_out[f"alpha.{n}"] = np.float64(dalpha[n])
+            grads_out[f"gamma.{n}"] = np.float64(dgamma)
     for name, g in dhead.items():
         grads_out[f"head.{name}"] = g
     if mode != "fwl-finetune":
         for key, g in bb.encode_backward(model.backbone, bcache, dH).items():
             grads_out[f"bb.{key}"] = g
-    return SequenceResult(losses, grads_out, new_carry)
+    if carry is not None:  # the carry this segment hands on
+        carry = StreamCarry.after(memory, tape, pos_grads, state, steps)
+    return SequenceResult(losses, grads_out, carry)
 
 
 @dataclass
@@ -452,8 +458,9 @@ def make_windows(documents: list[np.ndarray], seq_len: int):
 def score_streams(model: Model, streams, steps: hd.StepSizes):
     """Per-token NLL of each stream, a list of (tokens, targets) segments.
 
-    A StreamCarry threads backbone memory and fast state across the segments
-    of a stream, as in streaming training, and restarts with each stream.
+    Each segment is read as streaming training reads it (read_segment), with
+    a StreamCarry threading backbone memory and fast state across the
+    segments of a stream; each stream starts with no fast state.
     Returns (NLLs, slow NLLs), one array per stream in each: the fast-pass
     losses under those step sizes, and the slow losses the same pass read,
     which are the NLLs under empty steps.
@@ -462,21 +469,16 @@ def score_streams(model: Model, streams, steps: hd.StepSizes):
     nll_streams, slow_streams = [], []
     for stream in streams:
         nlls, slow = [], []
-        carry = StreamCarry.fresh(model, steps)
+        carry = StreamCarry.fresh(model)
         for i, (tokens, targets) in enumerate(stream):
-            H, _, memory = bb.encode_with_cache(model.backbone, tokens, carry.memory,
-                                                backward=False)
-            tape, losses = hd.slow_forward(model.head, H, targets)
-            slow.append(losses)
-            state, pending = carry.state(gammas), {}
-            if steps:
-                grads = hd.per_position_grads(model.head, tape)
-                losses = hd.fast_forward(model.head, steps, H, tape, grads, state=state,
-                                         chunk_size=model.config.chunk_size).losses
-                if i + 1 < len(stream):  # the last segment's sums have no reader
-                    pending = hd.segment_grad_sums(tape, grads, steps)
-            nlls.append(losses)
-            carry = StreamCarry(memory, state, pending)
+            tape, grads, state, _, memory = read_segment(model, tokens, targets, carry,
+                                                         steps, gammas)
+            slow.append(tape.losses)
+            nlls.append(hd.fast_forward(model.head, steps, tape.h, tape, grads, state=state,
+                                        chunk_size=model.config.chunk_size).losses
+                        if steps else tape.losses)
+            if i + 1 < len(stream):  # the last segment's carry has no reader
+                carry = StreamCarry.after(memory, tape, grads, state, steps)
         nll_streams.append(np.concatenate(nlls) if nlls else np.zeros(0))
         slow_streams.append(np.concatenate(slow) if slow else np.zeros(0))
     return nll_streams, slow_streams

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastweight import backbone as bb
-from fastweight.numerics import LN_EPS, ConfigError, InputError
+from fastweight.numerics import LN_EPS, ConfigError, InputError, StateError
 
 
 def tiny_config(**kw):
@@ -225,6 +225,19 @@ def test_encode_next_matches_encode_with_cache_rows(memory_len, max_seq_len, pre
         assert memory is None
     with pytest.raises(InputError):
         bb.encode_with_cache(params, [0], memory, prefix=cache)  # past max_seq_len
+
+
+@pytest.mark.parametrize("memory_len", [0, 5])
+def test_encode_backward_rejects_a_continued_cache(memory_len):
+    # a cache built with prefix= holds only its own positions' layers, so its
+    # VJP is a StateError, not a shape error deep inside numpy
+    params = bb.init_backbone(tiny_config(memory_len=memory_len))
+    seg = np.random.default_rng(7).integers(0, 11, size=6)
+    H, cache, memory = bb.encode_with_cache(params, seg[:4])
+    assert bb.encode_backward(params, cache, np.ones_like(H))["tok_emb"].any()
+    H, cache, _ = bb.encode_with_cache(params, seg[4:], memory, prefix=cache)
+    with pytest.raises(StateError, match="continued segment"):
+        bb.encode_backward(params, cache, np.ones_like(H))
 
 
 def test_encode_causality_bit_exact():

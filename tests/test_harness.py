@@ -409,7 +409,7 @@ def test_generate_prompt_offsets_match_oracle(small_ckpt, monkeypatch):
     step = hd.generate_step
 
     def first_offsets(head, steps, offsets, *args):
-        seen.append(offsets)  # a value: generate_step returns new offsets
+        seen.append({n: a.copy() for n, a in offsets.items()})  # the step adds in place
         return step(head, steps, offsets, *args)
 
     monkeypatch.setattr(hd, "generate_step", first_offsets)
@@ -470,6 +470,17 @@ def test_generate_encodes_one_position_per_sample(monkeypatch, prompt_len, n):
     monkeypatch.setattr(bb, "encode_with_cache", counted_with_cache)
     hn.generate_ids(ckpt.model, np.zeros(prompt_len, dtype=int), n)
     assert sum(positions) == (prompt_len + n - 1 if n else 0)
+
+
+def test_baseline_generation_runs_no_head_pass_over_the_prompt(monkeypatch):
+    # without step sizes the prompt's whole segments hand on memory alone, so
+    # the head runs once per sampled token and never over the prompt
+    ckpt = _generation_ckpt(3)
+    rows = []
+    slow = hd.slow_forward
+    monkeypatch.setattr(hd, "slow_forward", lambda *a: rows.append(len(a[2])) or slow(*a))
+    hn.generate_ids(ckpt.model, np.zeros(19, dtype=int), 5, variant="baseline")
+    assert rows == [1] * 5
 
 
 @pytest.mark.parametrize("variant", ["test-time-only", "bias-only"])

@@ -251,7 +251,9 @@ def test_generate_step_at_temperature_one_samples_as_sample_token(monkeypatch):
         for temperature in (1.0, 0.7):
             tapes.clear()
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = hd.generate_step(head, steps, offsets, H[0], temperature, rng)
+            # the step adds into the offsets it is given: hand each a copy
+            out = hd.generate_step(head, steps, {n: o.copy() for n, o in offsets.items()},
+                                   H[0], temperature, rng)
             slow, fast = tapes
             assert not np.allclose(fast.logits, slow.logits)
             assert out.token == sample(fast.logits[0], temperature, ref)
@@ -271,7 +273,7 @@ def test_generate_step_makes_one_slow_pass_and_no_kernel_call(monkeypatch):
                             lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
     offsets, rng = zero_state(head, steps), np.random.default_rng(0)
     for h in H:
-        offsets = hd.generate_step(head, steps, offsets, h, 1.0, rng).offsets
+        hd.generate_step(head, steps, offsets, h, 1.0, rng)
     assert calls == ["slow_forward"] * len(H)
 
 
@@ -294,7 +296,6 @@ def test_generation_scoring_consistency():
     tokens, gen_losses = [], []
     for t in range(H.shape[0]):
         out = hd.generate_step(head, steps, offsets, H[t], 0.8, rng)
-        offsets = out.offsets
         tokens.append(out.token)
         gen_losses.append(out.fast_loss)
     targets = np.array(tokens)

@@ -71,7 +71,7 @@ def test_outputs_perfbench_reads():
     assert len(bb.SegmentMemory.empty(model.config.backbone).activations) == 1
 
     steps = model.step_sizes()
-    zeros = tr.StreamCarry.fresh(model).state(model.gammas())
+    zeros = {n: np.zeros(getattr(model.head, n).shape) for n in steps}
     out = hd.generate_step(model.head, steps, zeros, rng.normal(size=8), 1.0, rng)
     assert np.isfinite(out.fast_loss)
 
@@ -79,7 +79,8 @@ def test_outputs_perfbench_reads():
 def test_scoring_hands_the_kernel_a_carried_state():
     # perfbench's kernel gate wraps la.chunked_causal_linear_attention while a
     # multi-segment document is scored, reads each call's state as the 5th
-    # positional argument or init=, and fails unless some call gets one
+    # positional argument or init=, and fails unless some call gets one. A
+    # stream's first segment reads no state, so only a carried one counts
     corpus = corpus_from_text(make_entity_corpus(2, seed=0), "word")
     doc = corpus.documents[0]
     model = tr.init_model(_tiny_config(corpus.vocab_size))
@@ -96,8 +97,11 @@ def test_scoring_hands_the_kernel_a_carried_state():
     finally:
         tracer.uninstall()
     inits = [a[4] if len(a) > 4 else k.get("init") for a, k in captured]
-    assert captured and all(i is None or isinstance(i, la.KVState) for i in inits)
-    assert any(i is not None and np.any(i.accumulator) for i in inits)
+    n = len(hd.KEYS)  # one call per fast matrix and segment; the model's mask is all
+    segments = list(tr.doc_segments(doc, model.config.backbone.max_seq_len))
+    assert len(inits) == n * len(segments)
+    assert all(i is None for i in inits[:n])
+    assert all(isinstance(i, la.KVState) and np.any(i.accumulator) for i in inits[n:])
 
 
 def test_traced_eval_run_is_correct():

@@ -40,7 +40,8 @@ def test_streaming_carries_survive_across_steps():
         _, opt, carries = tr.train_step(model, [(seg[:-1], seg[1:])], cfg, opt,
                                         [carry])
         carry = carries[0]
-        if any(np.abs(v).sum() > 0 for v in carry.delta_prev.values()):
+        delta = carry.delta_prev or {}  # None after a stream's first segment
+        if any(np.abs(v).sum() > 0 for v in delta.values()):
             seen_nonzero_delta = True
     assert seen_nonzero_delta
     assert carry.memory is not None

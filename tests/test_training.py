@@ -11,7 +11,7 @@ from fastweight import numerics as nm
 from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData, load_checkpoint, save_checkpoint
-from fastweight.corpus import Corpus, corpus_from_text, make_entity_corpus
+from fastweight.corpus import Corpus, TokenizerSpec, corpus_from_text, make_entity_corpus
 from reference_tools import directional_derivative_check, reference_adam
 
 
@@ -137,6 +137,29 @@ def test_streaming_gamma_gradient_is_nonzero():
                                       carry=carry2)
     gnorm = sum(abs(float(res2.grads[f"gamma.{n}"])) for n in model.mask)
     assert gnorm > 0
+
+
+@pytest.mark.parametrize("memory_len", [0, 3])
+def test_streamed_training_losses_are_score_nlls(memory_len):
+    # training reads a stream's segments as scoring does: threaded over a
+    # document's segments, mode full's losses are score's fwl NLLs and
+    # slow-only's its baseline NLLs, bit for bit
+    model = tiny_model(memory_len=memory_len, seed=3)
+    rng = np.random.default_rng(4)
+    for n in model.mask:
+        model.gamma_raw[n][...] = rng.normal()
+    vocab, L = model.config.backbone.vocab_size, model.config.backbone.max_seq_len
+    doc = rng.integers(0, vocab, size=2 * L + 9)  # three segments
+    corpus = Corpus([doc], TokenizerSpec("word", [f"w{i}" for i in range(vocab)]))
+    ckpt = CheckpointData(model, None, None, None, 0)
+    for mode, variant in (("full", "fwl"), ("slow-only", "baseline")):
+        carry, losses = tr.StreamCarry.fresh(model), []
+        for tokens, targets in tr.doc_segments(doc, L):
+            res = tr.sequence_loss_and_grads(model, tokens, targets, mode, carry)
+            carry = res.carry
+            losses.append(res.losses)
+        assert len(losses) == 3
+        assert np.array_equal(np.concatenate(losses), hn.score(ckpt, corpus, variant).nll_docs[0])
 
 
 @pytest.mark.parametrize("T, d, m, vocab, w", [(1, 4, 3, 5, 1.0), (7, 8, 6, 11, 0.25),
