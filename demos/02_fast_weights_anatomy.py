@@ -49,7 +49,7 @@ print(f"rank-one vs finite difference, max rel err: "
 # Fast pass: each parameter tensor at position t is offset by the summed
 # gradients of earlier positions; matrix terms run as causal linear attention.
 steps = dict.fromkeys(hd.MASK_ALL, 0.05)
-fast = hd.fast_forward(head, steps, H, tape, grads)
+fast = hd.fast_forward(head, steps, tape, grads)
 print("fast losses:", np.round(fast.losses, 3))
 print("first position untouched (empty prefix):",
       abs(fast.losses[0] - slow_losses[0]) == 0.0)
@@ -62,6 +62,6 @@ print(f"parallel vs sequential oracle, max abs err: "
 
 # Larger step sizes adapt harder to the (random) past and the losses move;
 # alpha = 0 is an exact identity.
-zero = hd.fast_forward(head, dict.fromkeys(hd.MASK_ALL, 0.0), H, tape, grads)
+zero = hd.fast_forward(head, dict.fromkeys(hd.MASK_ALL, 0.0), tape, grads)
 print("alpha=0 reproduces slow losses exactly:",
       bool(np.all(zero.losses == slow_losses)))

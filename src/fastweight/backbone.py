@@ -173,18 +173,20 @@ _BLOCK = 32  # query rows per attention block
 _FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)  # a block's keys after its query
 
 
-def _attention(lp: LayerParams, x, mem, cfg, kv=None):
+def _attention(lp: LayerParams, x, mem, cfg, kv=None, rows=None):
     """Pre-norm causal attention over [mem; x]. Returns (out, cache).
 
     kv, the head-major (keys, values) of an earlier call on the same segment,
     stands in for mem: x's rows attend to its rows and then to their own.
+    rows, if set, is how many of x's last rows query: out holds only theirs,
+    while keys and values still cover every row.
 
     Queries run in blocks of _BLOCK rows; a block whose rows end at i1 is
     scored against keys [:M + i1] only, so the masked half of the (h, T, M+T)
     scores is neither computed nor held. Only each block's diagonal corner
     needs the mask, and each block's softmax sees all of its keys.
     """
-    T = x.shape[0]
+    T = x.shape[0] if rows is None else rows
     xm = np.vstack([mem, x]) if kv is None and mem.shape[0] else x
     y, ln_cache = layernorm_fwd(xm, lp.ln1_g, lp.ln1_b)
     hd = cfg.d_model // cfg.n_heads
@@ -297,7 +299,7 @@ def _check_tokens(params: BackboneParams, tokens: np.ndarray, start: int):
 
 def encode_with_cache(params: BackboneParams, tokens,
                       memory: SegmentMemory | None = None, backward: bool = True,
-                      prefix=None):
+                      prefix=None, rows: int | None = None):
     """Returns (H (T, d_model), cache, new SegmentMemory or None).
 
     With backward False no encode_backward reads this pass: cache is None,
@@ -307,12 +309,20 @@ def encode_with_cache(params: BackboneParams, tokens,
     tokens take the next positions and attend to its keys and values too, and
     memory is the memory that call returned. Such a cache is forward-only
     (encode_backward cannot read it); it serves as the next call's prefix.
+
+    rows, if set (1..T), keeps only the last `rows` positions of H: the top
+    layer runs its queries, attention output, feed-forward and the final
+    LayerNorm on those rows alone. Every layer's keys, values and memory
+    cover all T positions, so the cache still serves as a prefix; like a
+    continued one, it is forward-only.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     start = prefix[3] if prefix is not None else 0
     _check_tokens(params, tokens, start)
     cfg = params.cfg
     T = tokens.shape[0]
+    if rows is not None and not 1 <= rows <= T:
+        raise InputError(f"rows must lie in 1..{T}, got {rows}")
     x = params.tok_emb[tokens] + params.pos_emb[start:start + T]
     mems = memory.activations if memory is not None else [
         np.zeros((0, cfg.d_model))] * cfg.n_layers
@@ -324,10 +334,11 @@ def encode_with_cache(params: BackboneParams, tokens,
     for li, lp in enumerate(params.layers):
         if cfg.memory_len:
             new_mem.append(np.vstack([mems[li], x])[-cfg.memory_len:].copy())
-        attn, a_cache = _attention(lp, x, mems[li], cfg, kvs[li])
+        attn, a_cache = _attention(lp, x, mems[li], cfg, kvs[li],
+                                   rows if li == cfg.n_layers - 1 else None)
         if not backward:
             a_cache = None  # free the attention weights before the FF allocates
-        x = x + attn
+        x = x[-len(attn):] + attn  # the top layer goes on with its query rows
         ff, f_cache = _ff(lp, x)
         x += ff
         if backward:
@@ -348,8 +359,9 @@ def encode(params: BackboneParams, tokens) -> np.ndarray:
 def encode_backward(params: BackboneParams, cache, dH):
     """VJP of encode_with_cache. Returns dict key -> gradient array."""
     tokens, layer_caches, lnf_cache, end = cache
-    if end != len(tokens):
-        raise StateError("encode_backward cannot read a continued segment's cache (prefix=)")
+    if end != len(tokens) or len(lnf_cache[0]) != end:  # started after 0, or H cut
+        raise StateError("encode_backward cannot read a continued segment's cache (prefix=) "
+                         "or a cut one (rows=)")
     cfg = params.cfg
     grads = {}
     dx, grads["lnf_g"], grads["lnf_b"] = layernorm_bwd(lnf_cache, dH)

@@ -433,11 +433,12 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     The text is walked in score's segments of max_seq_len positions, with a
     StreamCarry threaded across them; the prompt's whole segments are read
     as score_streams reads them (read_segment). The current segment's prefix
-    is encoded once, and each sampled token continues it by one position
-    (the last encode_with_cache's cache as prefix). The sampler's offsets,
-    which each step adds into in place, are the state the segment reads plus
-    the slow gradients of its positions so far. A full segment becomes
-    memory, and its pending sums are the offsets minus that state.
+    is encoded once (without step sizes to its last row of H alone), and each
+    sampled token continues it by one position (the last encode_with_cache's
+    cache as prefix). The sampler's offsets, which each step adds into in
+    place, are the state the segment reads plus the slow gradients of its
+    positions so far. A full segment becomes memory, and its pending sums
+    are the offsets minus that state.
     """
     if n_tokens < 0:
         raise ConfigError(f"n_tokens must be >= 0, got {n_tokens}")
@@ -465,7 +466,9 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     losses = []
     while True:  # from the current segment's start
         state = carry.state(gammas)
-        H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory)
+        # the sampler reads H[-1]; the slow pass reads every row before it
+        H, cache, memory = bb.encode_with_cache(model.backbone, ids[start:], carry.memory,
+                                                rows=None if steps else 1)
         offsets = {}
         if steps:
             tape, _ = hd.slow_forward(model.head, H[:-1], ids[start + 1:])

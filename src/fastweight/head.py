@@ -254,19 +254,18 @@ def per_position_grads(head: HeadParams, tape: PositionTape) -> PositionGrads:
     return head_backward(head, tape, output_grads(tape))
 
 
-def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
-                 tape: PositionTape, grads: PositionGrads,
-                 state: dict[str, np.ndarray] | None = None,
+def fast_forward(head: HeadParams, steps: StepSizes, tape: PositionTape,
+                 grads: PositionGrads, state: dict[str, np.ndarray] | None = None,
                  chunk_size: int = 64) -> PositionTape:
     """Second pass with evolving fast weights, computed in parallel: the slow
-    pass's layers (_layers) with each matrix term's queries taken from fast
-    activations while keys and values come from the slow tape `tape`. Returns
-    the fast pass's tape. With an empty mask its losses are the slow losses;
-    with all step sizes zero it matches them exactly.
+    pass's layers (_layers) over the slow tape's inputs tape.h, with each
+    matrix term's queries taken from fast activations while keys and values
+    come from the slow tape `tape`. Returns the fast pass's tape. With an
+    empty mask its losses are the slow losses; with all step sizes zero it
+    matches them exactly.
     `state` is the fast state carried in from earlier segments (see
     update_stream_state), a constant under differentiation.
     """
-    H = as_f64(H)
     if state is not None:
         _check_state(state, head, steps)
 
@@ -283,7 +282,7 @@ def fast_forward(head: HeadParams, steps: StepSizes, H: np.ndarray,
         cum = exclusive_cumsum_rows(rows)
         return cum if init is None else cum + init
 
-    return _layers(head, H, tape.targets, tape, steps, term)
+    return _layers(head, tape.h, tape.targets, tape, steps, term)
 
 
 def segment_grad_sums(tape: PositionTape, grads: PositionGrads,

@@ -111,7 +111,7 @@ def _oracle_pairs(rng, instances: int):
             steps = {n: float(a) for n, a in zip(hd.TENSOR_NAMES, alphas) if n in mask}
             ref = sequential_fast_forward(params, steps, H, targets)
             for chunk in (8, 16):
-                yield hd.fast_forward(params, steps, H, tape, grads, chunk_size=chunk).losses, ref
+                yield hd.fast_forward(params, steps, tape, grads, chunk_size=chunk).losses, ref
 
 
 def _qkv(rng, T, dk, dv):
@@ -147,13 +147,17 @@ def _additivity_pairs(rng):
 
 def _generation_pairs(rng, seed: int):
     """Each sampled token's fast loss against score's NLL of it in the same
-    text, fwl and baseline, for two tiny random models: one with segment
+    text, fwl and baseline, for four tiny random models: one with segment
     memory sampled across three segments, one sampled at temperature 0.7
-    with step sizes of both signs. Per model: vocab, d_model, d_hidden,
-    max_seq_len, memory_len, chunk, prompt and sampled tokens, temperature,
-    step-size range."""
+    with step sizes of both signs, and two whose prompt spans two whole
+    segments, without memory and with it (baseline generation encodes only
+    the sampled row of the prefix after them). Per model: vocab,
+    d_model, d_hidden, max_seq_len, memory_len, chunk, prompt and sampled
+    tokens, temperature, step-size range."""
     for V, d, m, L, M, C, P, N, temp, lo, hi in ((7, 8, 8, 8, 3, 4, 5, 20, 1.0, 0.1, 0.5),
-                                                 (9, 10, 8, 24, 0, 8, 1, 24, 0.7, -0.04, 0.04)):
+                                                 (9, 10, 8, 24, 0, 8, 1, 24, 0.7, -0.04, 0.04),
+                                                 (7, 8, 8, 6, 0, 4, 15, 10, 1.0, 0.1, 0.5),
+                                                 (7, 8, 8, 6, 2, 4, 15, 10, 1.0, 0.1, 0.5)):
         tok = TokenizerSpec("word", [f"w{i}" for i in range(V)])
         model = tr.init_model(tr.ModelConfig(
             bb.BackboneConfig(vocab_size=V, d_model=d, n_layers=2, n_heads=2, d_ff=2 * d,

@@ -159,13 +159,13 @@ def read_segment(model: Model, tokens, targets, carry: StreamCarry | None,
     return tape, hd.per_position_grads(model.head, tape), state, cache, memory
 
 
-def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, H, tape, grads,
+def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, tape, grads,
                   fast: hd.PositionTape, state: dict[str, np.ndarray] | None,
                   chunk_size: int, w: float):
-    """Gradient of w * sum_t L'_t w.r.t. head tensors, step sizes, H and the
-    stream accumulators, given the slow tape and the fast pass's tape `fast`.
-    Returns (dhead, dalpha, ddelta, dH)."""
-    d = H.shape[1]
+    """Gradient of w * sum_t L'_t w.r.t. head tensors, step sizes, the slow
+    tape's inputs H (tape.h) and the stream accumulators, given the slow tape
+    and the fast pass's tape `fast`. Returns (dhead, dalpha, ddelta, dH)."""
+    d = tape.h.shape[1]
     dalpha = {}
     ddelta = {}
     # gradients on the per-position gradient rows (by PositionGrads field)
@@ -285,12 +285,11 @@ def sequence_loss_and_grads(model: Model, tokens, targets, mode: str,
         dhead, dH = head_slow_vjp(model.head, tape, w)
         losses = tape.losses
     else:
-        fast = hd.fast_forward(model.head, steps, tape.h, tape, pos_grads,
-                               state=state, chunk_size=model.config.chunk_size)
+        fast = hd.fast_forward(model.head, steps, tape, pos_grads, state=state,
+                               chunk_size=model.config.chunk_size)
         losses = fast.losses
         dhead, dalpha, ddelta, dH = head_fast_vjp(
-            model.head, steps, tape.h, tape, pos_grads, fast, state,
-            model.config.chunk_size, w)
+            model.head, steps, tape, pos_grads, fast, state, model.config.chunk_size, w)
         prev = carry.delta_prev if carry is not None else None
         for n in model.mask:
             g = gammas[n]  # d state / d gamma is the state the previous segment read
@@ -474,7 +473,7 @@ def score_streams(model: Model, streams, steps: hd.StepSizes):
             tape, grads, state, _, memory = read_segment(model, tokens, targets, carry,
                                                          steps, gammas)
             slow.append(tape.losses)
-            nlls.append(hd.fast_forward(model.head, steps, tape.h, tape, grads, state=state,
+            nlls.append(hd.fast_forward(model.head, steps, tape, grads, state=state,
                                         chunk_size=model.config.chunk_size).losses
                         if steps else tape.losses)
             if i + 1 < len(stream):  # the last segment's carry has no reader

@@ -240,6 +240,55 @@ def test_encode_backward_rejects_a_continued_cache(memory_len):
         bb.encode_backward(params, cache, np.ones_like(H))
 
 
+@pytest.mark.parametrize("rows", [1, 40])
+@pytest.mark.parametrize("memory_len", [0, 45])
+def test_cut_encode_keeps_the_last_rows_and_continues(memory_len, rows):
+    # rows= keeps H's last rows of a 70-position prefix (three query blocks
+    # in every layer but the top one), and its cache continues the segment
+    # as the whole call does: every layer's keys, values and memory are whole
+    params = bb.init_backbone(tiny_config(memory_len=memory_len, max_seq_len=96))
+    rng = np.random.default_rng(11)
+    memory = _memory_of(params, rng)
+    seg = rng.integers(0, 11, size=96)
+    H, _, want_memory = bb.encode_with_cache(params, seg, memory)
+    cut, cache, memory = bb.encode_with_cache(params, seg[:70], memory, rows=rows)
+    assert cut.shape == (rows, 16) and np.max(np.abs(cut - H[70 - rows:70])) <= 1e-12
+    for pos in range(70, 96):
+        h, cache, memory = bb.encode_with_cache(params, seg[pos:pos + 1], memory,
+                                                prefix=cache)
+        assert np.max(np.abs(h - H[pos:pos + 1])) <= 1e-12
+    if memory_len:
+        for got, want in zip(memory.activations, want_memory.activations):
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_encode_with_every_row_is_the_whole_call():
+    params = bb.init_backbone(tiny_config())
+    tokens = np.random.default_rng(13).integers(0, 11, size=9)
+    H, cache, _ = bb.encode_with_cache(params, tokens)
+    H_all, cache_all, _ = bb.encode_with_cache(params, tokens, rows=9)
+    assert H_all.tobytes() == H.tobytes()
+    dH = np.ones_like(H)
+    for key, g in bb.encode_backward(params, cache_all, dH).items():
+        assert g.tobytes() == bb.encode_backward(params, cache, dH)[key].tobytes(), key
+
+
+@pytest.mark.parametrize("rows", [0, 10])
+def test_encode_rejects_rows_outside_the_segment(rows):
+    params = bb.init_backbone(tiny_config())
+    with pytest.raises(InputError, match="rows"):
+        bb.encode_with_cache(params, np.arange(9) % 11, rows=rows)
+
+
+@pytest.mark.parametrize("memory_len", [0, 5])
+def test_encode_backward_rejects_a_cut_cache(memory_len):
+    # a cut cache holds the top layer's rows it kept, not the segment's
+    params = bb.init_backbone(tiny_config(memory_len=memory_len))
+    H, cache, _ = bb.encode_with_cache(params, np.arange(6) % 11, rows=2)
+    with pytest.raises(StateError, match="cut"):
+        bb.encode_backward(params, cache, np.ones_like(H))
+
+
 def test_encode_causality_bit_exact():
     params = bb.init_backbone(tiny_config())
     rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ from fastweight import oracle
 from fastweight import training as tr
 from fastweight.checkpoint import CheckpointData
 from fastweight.corpus import Corpus, TokenizerSpec, corpus_from_text, make_entity_corpus
-from fastweight.numerics import ConfigError, NumericalError
+from fastweight.numerics import ConfigError, InputError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +481,41 @@ def test_baseline_generation_runs_no_head_pass_over_the_prompt(monkeypatch):
     monkeypatch.setattr(hd, "slow_forward", lambda *a: rows.append(len(a[2])) or slow(*a))
     hn.generate_ids(ckpt.model, np.zeros(19, dtype=int), 5, variant="baseline")
     assert rows == [1] * 5
+
+
+@pytest.mark.parametrize("variant", ["baseline", "fwl"])
+@pytest.mark.parametrize("memory_len", [0, 3])
+def test_generation_encodes_only_the_rows_it_reads(monkeypatch, memory_len, variant):
+    # 300 prompt tokens are 37 whole 8-position segments and a 4-token prefix.
+    # Both variants read the whole segments as score does; without step sizes
+    # the sampler reads one row of each prefix, while fwl reads every row.
+    ckpt = _generation_ckpt(memory_len)
+    calls = []
+    with_cache = bb.encode_with_cache
+
+    def spy(params, tokens, memory=None, **kwargs):
+        calls.append((len(tokens), kwargs.get("rows"), "prefix" in kwargs))
+        return with_cache(params, tokens, memory, **kwargs)
+
+    monkeypatch.setattr(bb, "encode_with_cache", spy)
+    prompt = np.random.default_rng(300).integers(0, 9, size=300)
+    gen = hn.generate_ids(ckpt.model, prompt, 6, seed=3, variant=variant)
+    monkeypatch.undo()
+    fwl = variant == "fwl"
+    whole = [(8, None, False)] * 37
+    rows = None if fwl else 1
+    # the sixth sample starts a segment at position 304
+    assert calls == whole + [(4, rows, False)] + [(1, None, True)] * 4 + [(1, rows, False)]
+    scored = hn.score(ckpt, Corpus([np.array(gen.ids)], ckpt.tokenizer), variant)
+    assert np.max(np.abs(scored.nll_docs[0][299:] - gen.fast_losses)) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", ["baseline", "fwl"])
+def test_generate_rejects_an_id_outside_the_vocabulary_in_a_whole_segment(variant):
+    # the bad id sits in the prompt's first whole segment, not in the prefix
+    ckpt = _generation_ckpt(0)
+    with pytest.raises(InputError):
+        hn.generate_ids(ckpt.model, [999] * 300 + [0], 5, variant=variant)
 
 
 @pytest.mark.parametrize("variant", ["test-time-only", "bias-only"])

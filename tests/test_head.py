@@ -94,7 +94,7 @@ def test_fast_forward_zero_alpha_is_identity():
     steps = dict.fromkeys(hd.MASK_ALL, 0.0)
     tape, losses = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    fast = hd.fast_forward(head, steps, H, tape, grads)
+    fast = hd.fast_forward(head, steps, tape, grads)
     np.testing.assert_array_equal(fast.losses, losses)
     # every layer is recomputed at mask ALL, and each equals the slow pass's
     for name in ("z", "v", "relu_mask", "o", "xhat", "istd", "u", "logits", "probs",
@@ -107,7 +107,7 @@ def test_fast_forward_empty_mask_is_slow_path():
     steps = {}
     tape, losses = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    fast = hd.fast_forward(head, steps, H, tape, grads)
+    fast = hd.fast_forward(head, steps, tape, grads)
     assert fast.losses is losses or np.array_equal(fast.losses, losses)
     np.testing.assert_array_equal(fast.logits, tape.logits)
 
@@ -121,7 +121,7 @@ def test_fast_forward_reuses_the_slow_layers_below_the_mask(mask, reused):
     # bias-only scoring costs one output layer on top of the slow pass
     head, steps, H, targets = make_instance(9, T=5, mask=mask)
     tape, _ = hd.slow_forward(head, H, targets)
-    fast = hd.fast_forward(head, steps, H, tape, hd.per_position_grads(head, tape))
+    fast = hd.fast_forward(head, steps, tape, hd.per_position_grads(head, tape))
     for name in ("v", "xhat", "u"):
         assert (getattr(fast, name) is getattr(tape, name)) == (name in reused), name
 
@@ -130,7 +130,7 @@ def test_fast_forward_first_position_unchanged():
     head, steps, H, targets = make_instance(7, T=4)
     tape, losses = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    fast = hd.fast_forward(head, steps, H, tape, grads)
+    fast = hd.fast_forward(head, steps, tape, grads)
     assert fast.losses[0] == pytest.approx(losses[0], abs=1e-12)
 
 
@@ -140,7 +140,7 @@ def test_fast_forward_matches_sequential_oracle(mask):
     head, steps, H, targets = make_instance(8, T=13, d=6, m=5, vocab=5, mask=mask)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    fast = hd.fast_forward(head, steps, H, tape, grads, chunk_size=4)
+    fast = hd.fast_forward(head, steps, tape, grads, chunk_size=4)
     ref = oracle.sequential_fast_forward(head, steps, H, targets)
     np.testing.assert_allclose(fast.losses, ref, atol=1e-9)
 
@@ -149,7 +149,7 @@ def test_fast_forward_larger_instance_matches_oracle():
     head, steps, H, targets = make_instance(9, T=32, d=16, m=12, vocab=11)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    fast = hd.fast_forward(head, steps, H, tape, grads, chunk_size=8)
+    fast = hd.fast_forward(head, steps, tape, grads, chunk_size=8)
     ref = oracle.sequential_fast_forward(head, steps, H, targets)
     np.testing.assert_allclose(fast.losses, ref, atol=1e-9)
 
@@ -159,12 +159,12 @@ def test_fast_forward_causality_in_targets():
     head, steps, H, targets = make_instance(10, T=8)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    base = hd.fast_forward(head, steps, H, tape, grads).losses
+    base = hd.fast_forward(head, steps, tape, grads).losses
     changed = targets.copy()
     changed[5] = (changed[5] + 1) % 7
     tape2, _ = hd.slow_forward(head, H, changed)
     grads2 = hd.per_position_grads(head, tape2)
-    after = hd.fast_forward(head, steps, H, tape2, grads2).losses
+    after = hd.fast_forward(head, steps, tape2, grads2).losses
     np.testing.assert_allclose(after[:5], base[:5], atol=1e-12)
 
 
@@ -201,18 +201,18 @@ def test_streaming_segments_match_concatenated_pass():
     head, steps, H, targets = make_instance(13, T=14, d=5, m=6, vocab=6)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    full = hd.fast_forward(head, steps, H, tape, grads).losses
+    full = hd.fast_forward(head, steps, tape, grads).losses
 
     cut = 6
     state = zero_state(head, steps)
     t1, _ = hd.slow_forward(head, H[:cut], targets[:cut])
     g1 = hd.per_position_grads(head, t1)
-    seg1 = hd.fast_forward(head, steps, H[:cut], t1, g1, state=state).losses
+    seg1 = hd.fast_forward(head, steps, t1, g1, state=state).losses
     state = hd.update_stream_state(state, hd.segment_grad_sums(t1, g1, steps),
                                    {n: 1.0 for n in steps})
     t2, _ = hd.slow_forward(head, H[cut:], targets[cut:])
     g2 = hd.per_position_grads(head, t2)
-    seg2 = hd.fast_forward(head, steps, H[cut:], t2, g2, state=state).losses
+    seg2 = hd.fast_forward(head, steps, t2, g2, state=state).losses
     np.testing.assert_allclose(np.concatenate([seg1, seg2]), full, atol=1e-10)
 
 
@@ -223,7 +223,7 @@ def test_stream_state_shape_mismatch():
     state = zero_state(head, steps)
     state["U"] = np.zeros((2, 2))
     with pytest.raises(nm.StateError):
-        hd.fast_forward(head, steps, H, tape, grads, state=state)
+        hd.fast_forward(head, steps, tape, grads, state=state)
 
 
 def test_generate_step_zero_alpha_matches_slow_sampling():
@@ -301,5 +301,5 @@ def test_generation_scoring_consistency():
     targets = np.array(tokens)
     tape, _ = hd.slow_forward(head, H, targets)
     grads = hd.per_position_grads(head, tape)
-    fast = hd.fast_forward(head, steps, H, tape, grads)
+    fast = hd.fast_forward(head, steps, tape, grads)
     np.testing.assert_allclose(fast.losses, gen_losses, atol=1e-9)

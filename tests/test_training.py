@@ -174,9 +174,9 @@ def test_empty_mask_fast_vjp_is_the_slow_vjp(T, d, m, vocab, w):
     tape, _ = hd.slow_forward(head, H, rng.integers(0, vocab, size=T))
     steps = {}
     grads = hd.per_position_grads(head, tape)
-    fast = hd.fast_forward(head, steps, H, tape, grads, chunk_size=4)
-    dhead, dalpha, ddelta, dH = tr.head_fast_vjp(head, steps, H, tape, grads, fast,
-                                                 None, 4, w)
+    fast = hd.fast_forward(head, steps, tape, grads, chunk_size=4)
+    dhead, dalpha, ddelta, dH = tr.head_fast_vjp(head, steps, tape, grads, fast, None,
+                                                 4, w)
     dhead_slow, dH_slow = tr.head_slow_vjp(head, tape, w)
     assert dalpha == {} and ddelta == {}
     for name in hd.TENSOR_NAMES:
@@ -206,7 +206,7 @@ def test_fast_vjp_matches_central_differences():
     def passes():
         tape, _ = hd.slow_forward(head, H, targets)
         grads = hd.per_position_grads(head, tape)
-        return tape, grads, hd.fast_forward(head, steps, H, tape, grads, state, chunk_size=4)
+        return tape, grads, hd.fast_forward(head, steps, tape, grads, state, chunk_size=4)
 
     def objective(_):  # finite_diff_grad perturbs the array in place
         return w * float(passes()[2].losses.sum())
@@ -217,7 +217,7 @@ def test_fast_vjp_matches_central_differences():
             return objective(x)
         return f
 
-    dhead, dalpha, ddelta, dH = tr.head_fast_vjp(head, steps, H, *passes(), state, 4, w)
+    dhead, dalpha, ddelta, dH = tr.head_fast_vjp(head, steps, *passes(), state, 4, w)
     checks = [(f"head.{n}", dhead[n], nm.finite_diff_grad(objective, t)) for n, t in head.named()]
     checks.append(("H", dH, nm.finite_diff_grad(objective, H)))
     for n in hd.TENSOR_NAMES:
