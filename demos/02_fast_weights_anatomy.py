@@ -6,6 +6,8 @@ updates into linear attention, and the parallel fast pass agreeing with a
 naive sequential walk that materializes every intermediate parameter copy.
 """
 
+import copy
+
 import numpy as np
 
 from fastweight import head as hd
@@ -36,7 +38,7 @@ outer = np.outer(tape.v[t], grads.g_o[t])
 
 
 def loss_of_W(flat):
-    trial = head.copy()
+    trial = copy.deepcopy(head)
     trial.W = flat.reshape(head.W.shape)
     _, losses = hd.slow_forward(trial, H, targets)
     return float(losses[t])

@@ -112,12 +112,6 @@ class BackboneParams:
         yield "lnf_g", self.lnf_g
         yield "lnf_b", self.lnf_b
 
-    def copy(self) -> "BackboneParams":
-        layers = [LayerParams(**{f: getattr(lp, f).copy() for f in lp.__dataclass_fields__})
-                  for lp in self.layers]
-        return BackboneParams(self.cfg, self.tok_emb.copy(), self.pos_emb.copy(), layers,
-                              self.lnf_g.copy(), self.lnf_b.copy())
-
 
 def init_backbone(config: BackboneConfig) -> BackboneParams:
     """Deterministic init: embeddings N(0, 0.02), weights N(0, 1/fan_in)."""
@@ -151,10 +145,6 @@ class SegmentMemory:
     """Per-layer cached activations of the previous segment (constants)."""
 
     activations: list[np.ndarray]  # n_layers entries, each (M, d_model)
-
-    @staticmethod
-    def empty(config: BackboneConfig) -> "SegmentMemory":
-        return SegmentMemory([np.zeros((0, config.d_model)) for _ in range(config.n_layers)])
 
 
 def _split_heads(x, n_heads):

@@ -23,15 +23,14 @@ UNK = "<unk>"
 class TokenizerSpec:
     mode: str                 # "char" or "word"
     vocab: list[str]
-    index: dict[str, int] = field(default_factory=dict, repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("char", "word"):
             raise ConfigError(f"tokenizer mode must be char or word, got {self.mode!r}")
         if not isinstance(self.vocab, list) or not all(isinstance(t, str) for t in self.vocab):
             raise ConfigError("tokenizer vocab must be a list of strings")
-        if not self.index:
-            self.index = {tok: i for i, tok in enumerate(self.vocab)}
+        self.index = {tok: i for i, tok in enumerate(self.vocab)}
 
     @property
     def vocab_size(self) -> int:

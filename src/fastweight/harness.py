@@ -142,7 +142,7 @@ def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
         for doc in corpus.documents:
             model = base.copy()
             params = dict(model.named_params())
-            carry = StreamCarry.fresh(model)
+            carry = StreamCarry()
             nlls = []
             for tokens, targets in doc_segments(doc, seq_len):
                 res = sequence_loss_and_grads(model, tokens, targets, "slow-only", carry,
@@ -458,7 +458,7 @@ def generate_ids(model: Model, ids, n_tokens: int, temperature: float = 1.0,
     gammas = model.gammas()
     rng = np.random.default_rng(seed)
     start = (len(ids) - 1) // L * L  # the current segment's first position
-    carry = StreamCarry.fresh(model)
+    carry = StreamCarry()
     for tokens, targets in doc_segments(np.array(ids[:start + 1]), L):
         tape, grads, state, _, memory = read_segment(model, tokens, targets if steps else None,
                                                      carry, steps, gammas)

@@ -72,9 +72,6 @@ class HeadParams:
         for name in TENSOR_NAMES:
             yield name, getattr(self, name)
 
-    def copy(self) -> "HeadParams":
-        return HeadParams(**{k: v.copy() for k, v in self.named()})
-
 
 def init_head(d_model: int, d_hidden: int, vocab: int, seed: int = 0) -> HeadParams:
     rng = np.random.default_rng(seed)

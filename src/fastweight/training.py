@@ -15,13 +15,14 @@ by hand in three sweeps, mirroring how the loss was built:
 Stream accumulators carried across segments are constants (stop-gradient).
 A StreamCarry holds them lazily, as the state the previous segment read plus
 that segment's summed gradients, so that the decay is applied inside the
-step: the one place the decays touch the loss. A fresh stream holds none.
+step: the one place the decays touch the loss. StreamCarry() starts a stream.
 
 Also here: the one read of a stream's segment (`read_segment`), the one
 document segmenter (`doc_segments`) and the one scoring loop
 (`score_streams`), shared by `fit`'s dev NLL and `harness.score`.
 """
 
+import copy
 import dataclasses
 import time
 from dataclasses import dataclass
@@ -95,9 +96,7 @@ class Model:
             yield f"gamma.{n}", self.gamma_raw[n]
 
     def copy(self) -> "Model":
-        return Model(self.config, self.backbone.copy(), self.head.copy(),
-                     {k: np.array(v) for k, v in self.alpha.items()},
-                     {k: np.array(v) for k, v in self.gamma_raw.items()})
+        return copy.deepcopy(self)
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -115,20 +114,14 @@ def init_model(config: ModelConfig) -> Model:
 @dataclass
 class StreamCarry:
     """Constants threaded between consecutive segments of one text stream:
-    the backbone memory, the fast state the previous segment read (None if
-    it read none, as a stream's first does) and that segment's summed
-    gradients (None without step sizes), not yet decayed in. The decay
-    stays lazy because gamma is trained and d gamma reads delta_prev."""
+    the backbone memory, the fast state the previous segment read and that
+    segment's summed gradients, not yet decayed in. Each is None where there
+    is none, as in StreamCarry(), which starts a stream. The decay stays
+    lazy because gamma is trained and d gamma reads delta_prev."""
 
-    memory: bb.SegmentMemory | None
+    memory: bb.SegmentMemory | None = None
     delta_prev: dict[str, np.ndarray] | None = None
     pending: dict[str, np.ndarray] | None = None
-
-    @staticmethod
-    def fresh(model: Model) -> "StreamCarry":
-        """The carry at the start of a stream: empty memory, no fast state."""
-        cfg = model.config.backbone
-        return StreamCarry(bb.SegmentMemory.empty(cfg) if cfg.memory_len else None)
 
     @staticmethod
     def after(memory, tape, grads, state, steps: hd.StepSizes) -> "StreamCarry":
@@ -468,7 +461,7 @@ def score_streams(model: Model, streams, steps: hd.StepSizes):
     nll_streams, slow_streams = [], []
     for stream in streams:
         nlls, slow = [], []
-        carry = StreamCarry.fresh(model)
+        carry = StreamCarry()
         for i, (tokens, targets) in enumerate(stream):
             tape, grads, state, _, memory = read_segment(model, tokens, targets, carry,
                                                          steps, gammas)
@@ -539,6 +532,9 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
         model = snap.model
         opt_state = snap.opt_state
         start_step = snap.step
+        if config.total_steps < start_step:
+            raise ConfigError(f"total_steps {config.total_steps} is below step {start_step} "
+                              f"of {resume_from}")
     else:
         model = init_model(model_config)
     if opt_state is None:
@@ -577,7 +573,7 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
                 order = _epoch_order(len(train_docs), config.seed,
                                      7919 + lane * 104729 + step)
                 lane_queues[lane] = make_windows([train_docs[order[0]]], config.seq_len)
-                carries[lane] = StreamCarry.fresh(model)
+                carries[lane] = StreamCarry()
             batch.append(lane_queues[lane].pop(0))
         return batch
 

@@ -6,6 +6,7 @@ Criteria 7 and 8 (the headline claim and where its gain comes from) have no
 test yet. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import copy
 import functools
 import time
 from pathlib import Path
@@ -82,7 +83,7 @@ def test_criterion_3_rank_one_identity():
             analytic = np.outer(inp[t], grads.rows(name)[t])
 
             def loss_of(flat, name=name, t=t):
-                trial = head.copy()
+                trial = copy.deepcopy(head)
                 getattr(trial, name)[...] = flat.reshape(getattr(head, name).shape)
                 _, losses = hd.slow_forward(trial, H, targets)
                 return float(losses[t])
@@ -119,7 +120,7 @@ def test_criterion_4_second_order_gradient_check():
 
     # streaming: a carry warmed over two segments and held constant, so that
     # the state gamma decays is nonzero and every gamma has a live gradient
-    carry = tr.StreamCarry.fresh(model)
+    carry = tr.StreamCarry()
     for _ in range(2):
         carry = tr.sequence_loss_and_grads(model, toks[:-1], toks[1:], "full",
                                            carry=carry).carry

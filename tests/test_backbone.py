@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def test_param_count_matches_hand_count():
 
 def test_copy_bit_equal_and_independent():
     params = bb.init_backbone(tiny_config())
-    dup = params.copy()
+    dup = copy.deepcopy(params)
     for (ka, va), (kb, vb) in zip(params.named(), dup.named()):
         assert ka == kb
         np.testing.assert_array_equal(va, vb)
@@ -114,7 +116,7 @@ def test_encode_matches_per_head_loop_reference(memory_len, max_seq_len, sizes):
     seg1 = rng.integers(0, 11, size=sizes[0])
     seg2 = rng.integers(0, 11, size=sizes[1])
     if memory_len:
-        _, _, memory = bb.encode_with_cache(params, seg1, bb.SegmentMemory.empty(params.cfg))
+        _, _, memory = bb.encode_with_cache(params, seg1, None)
         assert all(m.shape[0] == memory_len for m in memory.activations)
         mems = memory.activations
     else:
@@ -166,7 +168,7 @@ def test_multi_block_gradients_match_directional_finite_difference():
     eps = 1e-6
 
     def value(sign):
-        trial = params.copy()
+        trial = copy.deepcopy(params)
         for k, p in trial.named():
             p[...] = named[k] + sign * eps * direction[k]
         return float((bb.encode_with_cache(trial, tokens, memory)[0] * R).sum())
@@ -179,7 +181,7 @@ def test_multi_block_gradients_match_directional_finite_difference():
 def test_forward_only_encode_is_bit_equal_to_the_cached_walk(memory_len):
     params = bb.init_backbone(tiny_config(memory_len=memory_len))
     rng = np.random.default_rng(5)
-    memory = bb.SegmentMemory.empty(params.cfg) if memory_len else None
+    memory = None
     for size in (7, 9):  # the second segment reads the first one's memory
         tokens = rng.integers(0, 11, size=size)
         H, cache, want_memory = bb.encode_with_cache(params, tokens, memory)
@@ -346,7 +348,7 @@ def test_gradients_match_directional_finite_difference():
 
     eps = 1e-6
     def value(sign):
-        trial = params.copy()
+        trial = copy.deepcopy(params)
         for k, p in trial.named():
             p[...] = named[k] + sign * eps * direction[k]
         return float((bb.encode(trial, tokens) * R).sum())
@@ -388,7 +390,7 @@ def test_segment_with_empty_memory_matches_encode():
     tokens = np.random.default_rng(4).integers(0, 11, size=10)
     H_plain = bb.encode(params, tokens)
     H_seg, _, new_mem = bb.encode_with_cache(params, tokens,
-                                             bb.SegmentMemory.empty(params.cfg))
+                                             None)
     np.testing.assert_array_equal(H_plain, H_seg)
     assert all(m.shape[0] == 8 for m in new_mem.activations)
 
@@ -398,7 +400,7 @@ def test_segment_memory_changes_output():
     rng = np.random.default_rng(5)
     seg1 = rng.integers(0, 11, size=8)
     seg2 = rng.integers(0, 11, size=8)
-    _, _, mem = bb.encode_with_cache(params, seg1, bb.SegmentMemory.empty(params.cfg))
+    _, _, mem = bb.encode_with_cache(params, seg1, None)
     H_with, _, _ = bb.encode_with_cache(params, seg2, mem)
     H_without = bb.encode(params, seg2)
     assert not np.allclose(H_with, H_without)
@@ -411,7 +413,7 @@ def test_segment_memory_stop_gradient():
     rng = np.random.default_rng(6)
     seg1 = rng.integers(0, 11, size=6)
     seg2 = rng.integers(0, 11, size=7)
-    _, _, mem = bb.encode_with_cache(params, seg1, bb.SegmentMemory.empty(params.cfg))
+    _, _, mem = bb.encode_with_cache(params, seg1, None)
     R = rng.normal(size=(7, 16))
 
     H, cache, _ = bb.encode_with_cache(params, seg2, mem)
@@ -424,7 +426,7 @@ def test_segment_memory_stop_gradient():
     eps = 1e-6
 
     def value(sign):
-        trial = params.copy()
+        trial = copy.deepcopy(params)
         for k, p in trial.named():
             p[...] = named[k] + sign * eps * direction[k]
         H2, _, _ = bb.encode_with_cache(trial, seg2, mem)  # mem fixed

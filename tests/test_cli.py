@@ -297,6 +297,20 @@ def test_resume_from_a_bad_moment_is_config_error(workdir, tmp_path, capsys, mon
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_resume_below_the_checkpoint_step_is_refused_before_any_output(workdir, tmp_path,
+                                                                        capsys):
+    # workdir's run ended at step 8: stopping at step 3 would save checkpoints
+    # labelled step 3 with Adam's count at 8 (the last --total-steps wins)
+    rc = main(["train", "--train", str(workdir / "train.txt"), "--out", str(tmp_path / "run"),
+               "--tokenizer", "word", "--resume", str(workdir / "run" / "final.ckpt"),
+               *RUN_FLAGS, "--total-steps", "3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: total_steps 3 is below step 8") and err.count("\n") == 1
+    assert err.count("final.ckpt") == 1
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_resume_on_another_vocabulary_is_refused_before_any_output(workdir, tmp_path,
                                                                     capsys):
     # every word renamed: the same vocabulary size, so the model settings match

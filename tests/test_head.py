@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ def test_rank_one_outer_product_matches_finite_difference_U():
     analytic = np.outer(tape.h[0], grads.g_z[0])
 
     def loss_of_U_flat(u_flat):
-        trial = head.copy()
+        trial = copy.deepcopy(head)
         trial.U[...] = u_flat.reshape(head.U.shape)
         _, losses = hd.slow_forward(trial, H, targets)
         return float(losses[0])
@@ -79,7 +81,7 @@ def test_rank_one_identity_all_matrices(name, inp):
     analytic = np.outer(getattr(tape, inp)[t], grads.rows(name)[t])
 
     def loss_of(flat):
-        trial = head.copy()
+        trial = copy.deepcopy(head)
         getattr(trial, name)[...] = flat.reshape(getattr(head, name).shape)
         _, losses = hd.slow_forward(trial, H, targets)
         return float(losses[t])

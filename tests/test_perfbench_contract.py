@@ -68,7 +68,12 @@ def test_outputs_perfbench_reads():
     q, k, v = (rng.normal(size=(5, 3)) for _ in range(3))
     assert la.causal_linear_attention(q, k, v)[1].accumulator.shape == (3, 3)
 
-    assert len(bb.SegmentMemory.empty(model.config.backbone).activations) == 1
+    # spans._encode_work reads a memory's activations
+    mem_config = _tiny_config(corpus.vocab_size)
+    mem_config.backbone.memory_len = 3
+    _, _, memory = bb.encode_with_cache(tr.init_model(mem_config).backbone, [1, 2],
+                                        backward=False)
+    assert len(memory.activations) == 1 and memory.activations[0].shape == (2, 8)
 
     steps = model.step_sizes()
     zeros = {n: np.zeros(getattr(model.head, n).shape) for n in steps}

@@ -32,7 +32,7 @@ def test_streaming_carries_survive_across_steps():
     model = tr.init_model(mcfg)
     cfg = tr.TrainConfig(mode="full", streaming=True, batch_size=1, seq_len=16)
     doc = corpus.documents[0]
-    carry = tr.StreamCarry.fresh(model)
+    carry = tr.StreamCarry()
     opt = None
     seen_nonzero_delta = False
     for s in range(0, min(len(doc) - 1, 48), 16):

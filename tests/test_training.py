@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,7 +109,7 @@ def test_streaming_gradients_match_finite_difference_with_gamma():
     # build a carry by running two segments first, so that both the state the
     # last one read (which gamma decays) and its pending sums are nonzero
     toks0 = rng.integers(0, vocab, size=9)
-    carry = tr.StreamCarry.fresh(model)
+    carry = tr.StreamCarry()
     for _ in range(2):
         carry = tr.sequence_loss_and_grads(model, toks0[:-1], toks0[1:], "full",
                                            carry=carry).carry
@@ -127,7 +129,7 @@ def test_streaming_gamma_gradient_is_nonzero():
     vocab = model.config.backbone.vocab_size
     toks0 = rng.integers(0, vocab, size=9)
     res = tr.sequence_loss_and_grads(model, toks0[:-1], toks0[1:], "full",
-                                     carry=tr.StreamCarry.fresh(model))
+                                     carry=tr.StreamCarry())
     carry = res.carry
     # second segment: delta_prev is now nonzero so gamma has a live path
     carry2 = tr.sequence_loss_and_grads(model, toks0[:-1], toks0[1:], "full",
@@ -153,7 +155,7 @@ def test_streamed_training_losses_are_score_nlls(memory_len):
     corpus = Corpus([doc], TokenizerSpec("word", [f"w{i}" for i in range(vocab)]))
     ckpt = CheckpointData(model, None, None, None, 0)
     for mode, variant in (("full", "fwl"), ("slow-only", "baseline")):
-        carry, losses = tr.StreamCarry.fresh(model), []
+        carry, losses = tr.StreamCarry(), []
         for tokens, targets in tr.doc_segments(doc, L):
             res = tr.sequence_loss_and_grads(model, tokens, targets, mode, carry)
             carry = res.carry
@@ -238,6 +240,46 @@ def test_alpha_gradient_present_only_for_masked_tensors():
     _, grads, _ = tr.batch_loss_and_grads(model, batch, cfg)
     assert abs(float(grads["alpha.W"])) > 0
     assert "alpha.U" not in grads
+
+
+def _held_arrays(obj):
+    """Every array a parameter container holds, found through its dataclass
+    fields, its lists (the layers) and its dicts (the step sizes, decays)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _held_arrays(item)
+
+
+@pytest.mark.parametrize("mask", [hd.MASK_ALL, hd.MASK_BIAS_ONLY])
+def test_named_params_names_every_array_once(mask):
+    # a field missing from named() would never be saved, trained or stepped
+    model = tiny_model(mask=mask, memory_len=3)
+    held = [id(a) for a in _held_arrays(model)]
+    named = [id(a) for _, a in model.named_params()]
+    assert len(set(named)) == len(named)
+    assert sorted(named) == sorted(held)
+    assert hd.TENSOR_NAMES == tuple(f.name for f in dataclasses.fields(hd.HeadParams))
+
+
+def test_model_copy_is_bit_equal_and_shares_no_array():
+    model = tiny_model(memory_len=3)
+    dup = model.copy()
+    held, dup_held = list(_held_arrays(model)), list(_held_arrays(dup))
+    assert len(held) == len(dup_held) == len(list(model.named_params()))
+    assert any(a.ndim == 0 for a in held)  # the step sizes and decays
+    for a, b in zip(held, dup_held):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+        assert not np.shares_memory(a, b)
+    assert [k for k, _ in model.named_params()] == [k for k, _ in dup.named_params()]
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -328,7 +370,7 @@ def _warm_carries(model, n_lanes, seed):
     """One carry per lane after two segments, so every gamma has a gradient."""
     carries = []
     for tokens, targets in tiny_batch(model, T=8, n_seqs=n_lanes, seed=seed):
-        carry = tr.StreamCarry.fresh(model)
+        carry = tr.StreamCarry()
         for _ in range(2):
             carry = tr.sequence_loss_and_grads(model, tokens, targets, "full",
                                                carry=carry).carry
@@ -365,8 +407,8 @@ def test_train_step_matches_a_functional_adam(mode, weight_decay):
     opt = None
     m = {k: np.zeros_like(v) for k, v in ref.named_params()}
     v = {k: np.zeros_like(p) for k, p in ref.named_params()}
-    carries = [tr.StreamCarry.fresh(model) for _ in range(2)]
-    ref_carries = [tr.StreamCarry.fresh(ref) for _ in range(2)]
+    carries = [tr.StreamCarry() for _ in range(2)]
+    ref_carries = [tr.StreamCarry() for _ in range(2)]
     for step in range(6):
         batch = tiny_batch(model, T=8, seed=40 + step)
         metrics, opt, carries = tr.train_step(model, batch, cfg, opt, carries)
