@@ -323,15 +323,11 @@ def head_backward_flops_per_token(d, m, vocab):
             + 2 * d * m + 2 * m)       # back through W and the activation
 
 
-def fast_pass_flops_per_token(d, m, vocab, mask, chunk_size) -> int:
-    total = head_slow_flops_per_token(d, m)  # recompose the head
-    la_shapes = {"U": (d, m), "W": (m, d), "E": (d, vocab)}
+def fast_pass_flops_per_token(head: hd.HeadParams, mask, chunk_size) -> int:
+    total = head_slow_flops_per_token(*head.U.shape)  # recompose the head
     for name in mask:
-        if name in la_shapes:
-            total += la.flops_chunked(1, *la_shapes[name], chunk_size)
-        else:
-            dim = {"a": m, "b": d, "ln_gain": d, "ln_bias": d, "c": vocab}[name]
-            total += 2 * dim
+        shape = getattr(head, name).shape  # a matrix's term is linear attention
+        total += la.flops_chunked(1, *shape, chunk_size) if name in hd.KEYS else 2 * shape[0]
     return total
 
 
@@ -348,8 +344,7 @@ def flop_report(model: Model, context: int | None = None) -> dict:
     head_f = head_slow_flops_per_token(d, m)
     softmax_f = output_softmax_flops_per_token(d, vocab)
     backward_f = head_backward_flops_per_token(d, m, vocab)
-    fast_f = fast_pass_flops_per_token(d, m, vocab, model.mask,
-                                       model.config.chunk_size)
+    fast_f = fast_pass_flops_per_token(model.head, model.mask, model.config.chunk_size)
     baseline = backbone_f + head_f + softmax_f
     fwl = baseline + backward_f + fast_f + softmax_f
     return {

@@ -110,8 +110,7 @@ class PositionTape:
     probs: np.ndarray      # (T, V)
     losses: np.ndarray     # (T,)
     gain: np.ndarray       # (d,) LayerNorm gain, or (T, d) rows when ln_gain is fast
-    att: dict[str, np.ndarray]  # fast matrix terms (linear attention, incl. stream init)
-    cum: dict[str, np.ndarray]  # fast vector terms (cumulative rows, incl. stream acc)
+    terms: dict[str, np.ndarray]  # each fast tensor's term, its summed earlier gradients
 
 
 @dataclass
@@ -151,12 +150,12 @@ def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
     Without `slow` this is the slow pass. With it, a fast pass over the slow
     tape `slow`: each tensor in steps is its slow value minus its step
     size times term(name, q), its summed earlier gradients (q: a matrix's
-    queries), kept in the tape's att or cum; a layer is recomputed only if a
+    queries), kept in the tape's terms; a layer is recomputed only if a
     tensor at or below it is in the mask.
     """
     new = slow is None
     mask = set() if new else set(steps)
-    att, cum = {}, {}
+    terms = {}
 
     def minus(x, q, *names):
         """x minus alpha * term for each masked tensor in names. Only the
@@ -164,8 +163,7 @@ def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
         x_in = x
         for name in names:
             if name in mask:
-                t = term(name, q)
-                (att if name in KEYS else cum)[name] = t
+                terms[name] = t = term(name, q)
                 x = np.subtract(x, steps[name] * t, out=None if x is x_in else x)
         return x
 
@@ -187,7 +185,7 @@ def _layers(head: HeadParams, H: np.ndarray, targets: np.ndarray, slow=None,
     else:
         logits, probs, losses = slow.logits, slow.probs, slow.losses
     return PositionTape(H, targets, z, v, relu_mask, o, xhat, istd, u, logits, probs,
-                        losses, gain, att, cum)
+                        losses, gain, terms)
 
 
 def slow_forward(head: HeadParams, H: np.ndarray, targets) -> tuple[PositionTape, np.ndarray]:

@@ -153,15 +153,6 @@ def exclusive_cumsum_rows(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def reverse_exclusive_cumsum_rows(g: np.ndarray) -> np.ndarray:
-    """out[i] = sum_{t>i} g[t]; the transpose of exclusive_cumsum_rows."""
-    g = as_f64(g)
-    out = np.zeros_like(g)
-    if g.shape[0] > 1:
-        out[:-1] = np.cumsum(g[:0:-1], axis=0)[::-1]
-    return out
-
-
 def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar f at x, component by component."""
     x = as_f64(x)

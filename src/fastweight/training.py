@@ -33,8 +33,8 @@ from . import backbone as bb
 from . import head as hd
 from .corpus import Corpus
 from .linear_attention import KVState, causal_linear_attention_vjp
-from .numerics import (ConfigError, NumericalError, check_field_types, layernorm_dx,
-                       reverse_exclusive_cumsum_rows)
+from .numerics import (ConfigError, NumericalError, check_field_types, exclusive_cumsum_rows,
+                       layernorm_dx)
 
 MODES = ("full", "slow-only", "fwl-finetune")
 
@@ -174,15 +174,15 @@ def head_fast_vjp(head: hd.HeadParams, steps: hd.StepSizes, tape, grads,
         if name not in steps:
             return
         d_term = -steps[name] * d_x
+        dalpha[name] = -float((d_x * fast.terms[name]).sum())
         if name in hd.KEYS:
-            dalpha[name] = -float((d_x * fast.att[name]).sum())
             init = KVState(state[name]) if state is not None else None
             dq, dkeys[hd.KEYS[name]], dv, ddelta[name] = causal_linear_attention_vjp(
                 q, getattr(tape, hd.KEYS[name]), grads.rows(name), d_term, init, chunk_size)
             d_q += dq
         else:
-            dalpha[name] = -float((d_x * fast.cum[name]).sum())
-            dv = reverse_exclusive_cumsum_rows(d_term)
+            # the transpose of an exclusive cumsum: the same sum, rows reversed
+            dv = exclusive_cumsum_rows(d_term[::-1])[::-1]
             ddelta[name] = d_term.sum(axis=0)
         drows[hd.ROWS[name]] += dv
 

@@ -11,8 +11,9 @@ At memory_len 0 and 3, with the mask all and bias-only, it hashes:
 at a nonzero step; three optimizer steps through `fit` in every mode, with
 and without streaming, as the metrics they log and the bytes of the
 checkpoints they save; and fwl and baseline generation at temperatures 1,
-0.7 and 0 after prompts that span no, one and two whole segments. The
-sizes are tiny, so one run takes about a second.
+0.7 and 0 after prompts that span no, one and two whole segments; and each
+model's `flop_report`, the cost accounting. The sizes are tiny, so one run
+takes about a second.
 """
 
 import hashlib
@@ -88,6 +89,8 @@ def digest() -> str:
             model_config = _model_config(memory_len, mask)
             ckpt = CheckpointData(tr.init_model(model_config), None, corpus.tokenizer,
                                   None, 0)
+            h.update(f"{at}/flops|{json.dumps(hn.flop_report(ckpt.model), sort_keys=True)}"
+                     .encode())
             variants = hn.VARIANTS if mask == hd.MASK_ALL else ("baseline", "fwl",
                                                                 "bias-only")
             for variant in variants:

@@ -43,19 +43,6 @@ def test_param_count_matches_hand_count():
     assert total == hand
 
 
-def test_copy_bit_equal_and_independent():
-    params = bb.init_backbone(tiny_config())
-    dup = copy.deepcopy(params)
-    for (ka, va), (kb, vb) in zip(params.named(), dup.named()):
-        assert ka == kb
-        np.testing.assert_array_equal(va, vb)
-    before = {k: v.copy() for k, v in params.named()}
-    for _, v in dup.named():
-        v += 1.0
-    for k, v in params.named():
-        np.testing.assert_array_equal(v, before[k], err_msg=k)
-
-
 def _gelu_closed_form(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
 
@@ -383,16 +370,6 @@ def test_gradients_per_tensor_finite_difference():
         got = grads[key].reshape(-1)[idx]
         want = flat_fd.reshape(-1)[idx]
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-8, err_msg=key)
-
-
-def test_segment_with_empty_memory_matches_encode():
-    params = bb.init_backbone(tiny_config(memory_len=8))
-    tokens = np.random.default_rng(4).integers(0, 11, size=10)
-    H_plain = bb.encode(params, tokens)
-    H_seg, _, new_mem = bb.encode_with_cache(params, tokens,
-                                             None)
-    np.testing.assert_array_equal(H_plain, H_seg)
-    assert all(m.shape[0] == 8 for m in new_mem.activations)
 
 
 def test_segment_memory_changes_output():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -79,7 +80,8 @@ def test_generate_deterministic(workdir, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--n-tokens", "-1"), ("--temperature", "-1"),
-                                         ("--temperature", "nan"), ("--seed", "-1")])
+                                         ("--temperature", "nan"), ("--seed", "-1"),
+                                         ("--prompt", "")])  # the last --prompt wins
 def test_bad_generate_argument_is_config_error(workdir, capsys, flag, value):
     rc = main(["generate", "--ckpt", str(workdir / "run" / "final.ckpt"),
                "--prompt", "belardan saw", flag, value])
@@ -115,6 +117,18 @@ def test_fuzzed_generate_exits_zero_or_one(workdir, capsys, temperature, seed, n
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_generate_from_a_checkpoint_without_a_tokenizer_is_config_error(workdir, tmp_path,
+                                                                        capsys):
+    snap = load_checkpoint(workdir / "run" / "final.ckpt")
+    ckpt = str(tmp_path / "bare.ckpt")
+    save_checkpoint(ckpt, snap.model, snap.train_config, snap.opt_state, snap.step, None)
+    rc = main(["generate", "--ckpt", ckpt, "--prompt", "belardan saw"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "no tokenizer" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("variant", ["test-time-only", "bias-only"])
 def test_generate_rejects_other_variants(workdir, capsys, variant):
     rc = main(["generate", "--ckpt", str(workdir / "run" / "final.ckpt"),
@@ -131,6 +145,30 @@ def test_dyneval_runs(workdir, capsys):
                "--step-size", "0.01", "--chunk-len", "16"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out.strip())["perplexity"] > 0
+
+
+def test_ablate_prints_and_writes_the_five_rows(workdir, tmp_path, capsys):
+    # the workdir model's mask holds every tensor, so it can fill all three roles
+    ckpt = str(workdir / "run" / "final.ckpt")
+    dev = str(workdir / "dev.txt")
+    out_csv = tmp_path / "ablation.csv"
+    rc = main(["ablate", "--slow-ckpt", ckpt, "--fwl-ckpt", ckpt, "--bias-ckpt", ckpt,
+               "--corpus", dev, "--csv", str(out_csv)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    names = ["No FWL", "FWL", "Test-time only", "Bias only", "Dynamic Evaluation"]
+    assert [line.rsplit(None, 2)[0] for line in out.splitlines()] == ["Method", *names]
+    header, *rows = csv.reader(out_csv.read_text().splitlines())
+    assert header == ["method", "perplexity", "tokens_per_sec", "detail"]
+    assert [r[0] for r in rows] == names
+    assert all(np.isfinite(float(r[1])) for r in rows)
+    detail = {r[0]: r[3] for r in rows}
+    assert detail["Test-time only"] in {f"step={g:g}" for g in (0.003, 0.01, 0.03, 0.1, 0.3)}
+    assert detail["Dynamic Evaluation"] in {f"step={g:g} chunk=32"
+                                            for g in (0.003, 0.01, 0.03, 0.1)}
+    rc = main(["score", "--ckpt", ckpt, "--corpus", dev, "--variant", "fwl"])
+    fwl = json.loads(capsys.readouterr().out)["perplexity"]
+    assert rc == 0 and rows[1][1] == f"{fwl:.4f}"
 
 
 def test_analyze_writes_csv(workdir, tmp_path, capsys):
@@ -419,7 +457,10 @@ def test_dyneval_non_finite_perplexity_is_numerical_error(workdir, capsys):
     ["bench", "--dyneval-step", "nan", "--max-docs", "1"],   # exited 0
     ["score", "--variant", "test-time-only", "--global-step", "inf"],  # warnings, exit 3
     ["score", "--variant", "test-time-only", "--global-step", "nan"],  # exited 3
-], ids=["dyneval-inf", "dyneval-nan", "bench-nan", "score-inf", "score-nan"])
+    ["score", "--variant", "test-time-only"],   # no step to score with
+    ["dyneval", "--step-size", "0.01", "--chunk-len", "0"],
+], ids=["dyneval-inf", "dyneval-nan", "bench-nan", "score-inf", "score-nan", "score-no-step",
+        "dyneval-chunk-0"])
 def test_non_finite_dyneval_step_is_config_error(workdir, capsys, args):
     rc = main(args + ["--ckpt", str(workdir / "run" / "final.ckpt"),
                       "--corpus", str(workdir / "dev.txt")])

