@@ -106,12 +106,6 @@ def _grid_search(grid, perplexity_at) -> tuple[float, float]:
     return best_step, best_ppl
 
 
-def tune_global_step(ckpt: CheckpointData, dev_corpus: Corpus, grid) -> tuple[float, float]:
-    """Grid-search the single test-time step size (see _grid_search)."""
-    return _grid_search(grid, lambda g: score(ckpt, dev_corpus, "test-time-only",
-                                              global_step=g).perplexity)
-
-
 def dynamic_evaluate(ckpt: CheckpointData, corpus: Corpus, step_size: float,
                      chunk_len: int = 32) -> ScoreResult:
     """Chunked test-time SGD on all parameters (backbone + head).
@@ -179,29 +173,25 @@ def ablate(checkpoints: dict[str, CheckpointData], corpus: Corpus,
     for need in ("slow", "fwl", "bias"):
         if need not in checkpoints:
             raise ConfigError(f"ablate is missing the {need!r} checkpoint")
-    dev = dev_corpus or corpus
-    rows = []
+    slow, dev = checkpoints["slow"], dev_corpus or corpus
 
-    res = score(checkpoints["slow"], corpus, "baseline")
-    rows.append(AblationRow("No FWL", res.perplexity, res.tokens_per_sec))
+    def tuned(grid, run):
+        """run(corpus, step) at the grid's best step on dev, and that step."""
+        step, _ = _grid_search(grid, lambda g: run(dev, g).perplexity)
+        return run(corpus, step), step
 
-    res = score(checkpoints["fwl"], corpus, "fwl")
-    rows.append(AblationRow("FWL", res.perplexity, res.tokens_per_sec))
-
-    best_step, _ = tune_global_step(checkpoints["slow"], dev, step_grid)
-    res = score(checkpoints["slow"], corpus, "test-time-only", global_step=best_step)
-    rows.append(AblationRow("Test-time only", res.perplexity, res.tokens_per_sec,
-                            f"step={best_step:g}"))
-
-    res = score(checkpoints["bias"], corpus, "bias-only")
-    rows.append(AblationRow("Bias only", res.perplexity, res.tokens_per_sec))
-
-    best_dyn, _ = _grid_search(dyneval_steps, lambda g: dynamic_evaluate(
-        checkpoints["slow"], dev, g, dyneval_chunk).perplexity)
-    res = dynamic_evaluate(checkpoints["slow"], corpus, best_dyn, dyneval_chunk)
-    rows.append(AblationRow("Dynamic Evaluation", res.perplexity, res.tokens_per_sec,
-                            f"step={best_dyn:g} chunk={dyneval_chunk}"))
-    return rows
+    no_fwl = score(slow, corpus, "baseline")
+    fwl = score(checkpoints["fwl"], corpus, "fwl")
+    tto, tto_step = tuned(step_grid, lambda c, g: score(slow, c, "test-time-only",
+                                                        global_step=g))
+    bias = score(checkpoints["bias"], corpus, "bias-only")
+    dyn, dyn_step = tuned(dyneval_steps, lambda c, g: dynamic_evaluate(slow, c, g,
+                                                                       dyneval_chunk))
+    rows = [("No FWL", no_fwl, ""), ("FWL", fwl, ""),
+            ("Test-time only", tto, f"step={tto_step:g}"), ("Bias only", bias, ""),
+            ("Dynamic Evaluation", dyn, f"step={dyn_step:g} chunk={dyneval_chunk}")]
+    return [AblationRow(name, res.perplexity, res.tokens_per_sec, detail)
+            for name, res, detail in rows]
 
 
 def ablation_csv(rows: list[AblationRow]) -> str:
@@ -214,10 +204,11 @@ def ablation_csv(rows: list[AblationRow]) -> str:
 
 
 def ablation_table(rows: list[AblationRow]) -> str:
-    name_w = max(len(r.name) for r in rows)
-    lines = [f"{'Method'.ljust(name_w)}  {'PPL':>8}  {'Tok/s':>8}"]
+    name_w = max(len(n) for n in ["Method", *(r.name for r in rows)])
+    lines = [f"{'Method'.ljust(name_w)}  {'PPL':>8}  {'Tok/s':>8}  Detail"]
     for r in rows:
-        lines.append(f"{r.name.ljust(name_w)}  {r.perplexity:8.3f}  {r.tokens_per_sec:8.1f}")
+        lines.append(f"{r.name.ljust(name_w)}  {r.perplexity:8.3f}  {r.tokens_per_sec:8.1f}  "
+                     f"{r.detail}".rstrip())
     return "\n".join(lines)
 
 
@@ -308,29 +299,6 @@ def backbone_flops_per_token(cfg: bb.BackboneConfig, context: int) -> int:
     return cfg.n_layers * per_layer + _ln_flops(d) + 2 * d  # final LN + embeds
 
 
-def head_slow_flops_per_token(d, m):
-    return 2 * d * m + 2 * m + 2 * m * d + _ln_flops(d)
-
-
-def output_softmax_flops_per_token(d, vocab):
-    return 2 * d * vocab + 5 * vocab
-
-
-def head_backward_flops_per_token(d, m, vocab):
-    return (2 * vocab                  # softmax grad
-            + 2 * vocab * d            # back through E
-            + 10 * d                   # LayerNorm backward
-            + 2 * d * m + 2 * m)       # back through W and the activation
-
-
-def fast_pass_flops_per_token(head: hd.HeadParams, mask, chunk_size) -> int:
-    total = head_slow_flops_per_token(*head.U.shape)  # recompose the head
-    for name in mask:
-        shape = getattr(head, name).shape  # a matrix's term is linear attention
-        total += la.flops_chunked(1, *shape, chunk_size) if name in hd.KEYS else 2 * shape[0]
-    return total
-
-
 def flop_report(model: Model, context: int | None = None) -> dict:
     """Analytic per-token FLOPs by component (multiply-add = 2 flops).
 
@@ -341,10 +309,17 @@ def flop_report(model: Model, context: int | None = None) -> dict:
     context = context or cfg.max_seq_len
     d, m, vocab = cfg.d_model, model.config.d_hidden, cfg.vocab_size
     backbone_f = backbone_flops_per_token(cfg, context)
-    head_f = head_slow_flops_per_token(d, m)
-    softmax_f = output_softmax_flops_per_token(d, vocab)
-    backward_f = head_backward_flops_per_token(d, m, vocab)
-    fast_f = fast_pass_flops_per_token(model.head, model.mask, model.config.chunk_size)
+    head_f = 2 * d * m + 2 * m + 2 * m * d + _ln_flops(d)
+    softmax_f = 2 * d * vocab + 5 * vocab
+    backward_f = (2 * vocab                  # softmax grad
+                  + 2 * vocab * d            # back through E
+                  + 10 * d                   # LayerNorm backward
+                  + 2 * d * m + 2 * m)       # back through W and the activation
+    fast_f = head_f  # recompose the head, then each masked tensor's term
+    for name in model.mask:
+        shape = getattr(model.head, name).shape  # a matrix's term is linear attention
+        fast_f += (la.flops_chunked(1, *shape, model.config.chunk_size) if name in hd.KEYS
+                   else 2 * shape[0])
     baseline = backbone_f + head_f + softmax_f
     fwl = baseline + backward_f + fast_f + softmax_f
     return {
@@ -381,7 +356,7 @@ def _median_tokens_per_sec(run) -> float:
 
 
 def bench(ckpt: CheckpointData, corpus: Corpus, dyneval_step: float = 0.01,
-          dyneval_chunk: int = 32, max_docs: int | None = None) -> BenchReport:
+          max_docs: int | None = None) -> BenchReport:
     """Analytic FLOP report plus measured scoring throughput, each rate the
     median of _BENCH_REPEATS runs after a warm-up."""
     if max_docs is not None and max_docs < 1:
@@ -393,7 +368,7 @@ def bench(ckpt: CheckpointData, corpus: Corpus, dyneval_step: float = 0.01,
     measured["fwl_tokens_per_sec"] = _median_tokens_per_sec(
         lambda: score(ckpt, sub, "fwl"))
     measured["dyneval_tokens_per_sec"] = _median_tokens_per_sec(
-        lambda: dynamic_evaluate(ckpt, sub, dyneval_step, dyneval_chunk))
+        lambda: dynamic_evaluate(ckpt, sub, dyneval_step))
     measured["dyneval_cost_ratio"] = (measured["baseline_tokens_per_sec"]
                                       / max(measured["dyneval_tokens_per_sec"], 1e-9))
     measured["fwl_cost_ratio"] = (measured["baseline_tokens_per_sec"]

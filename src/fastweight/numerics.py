@@ -135,7 +135,7 @@ def softmax_xent_rows(logits: np.ndarray, targets: np.ndarray):
         raise ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
     if (np.minimum.reduce(targets, initial=0) < 0
             or np.maximum.reduce(targets, initial=-1) >= V):
-        raise IndexError("target id out of vocabulary range")
+        raise InputError("target id out of vocabulary range")
     m = np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(logits - m)
     s = np.add.reduce(e, axis=-1, keepdims=True)

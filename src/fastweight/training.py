@@ -385,8 +385,6 @@ def warmup_scale(step: int, config: TrainConfig) -> float:
 class StepMetrics:
     loss: float
     grad_norm: float
-    alphas: dict[str, float]
-    n_tokens: int
 
 
 def batch_loss_and_grads(model: Model, batch, config: TrainConfig,
@@ -428,7 +426,7 @@ def train_step(model: Model, batch, config: TrainConfig, opt_state: dict | None 
             f"(batch of {len(batch)} sequences)")
     norm = adam_update(dict(model.named_params()), acc, opt_state, config,
                        lr_scale=warmup_scale(opt_state["t"], config))
-    metrics = StepMetrics(loss, norm, model.step_sizes(), sum(len(t) for t, _ in batch))
+    metrics = StepMetrics(loss, norm)
     return metrics, opt_state, new_carries
 
 
@@ -599,7 +597,7 @@ def fit(corpus: Corpus, config: TrainConfig, model_config: ModelConfig,
                 "loss": metrics.loss,
                 "ppl": float(np.exp(min(metrics.loss, 700.0))),
                 "grad_norm": metrics.grad_norm,
-                "alphas": metrics.alphas,
+                "alphas": model.step_sizes(),
                 "gammas": model.gammas(),
                 "wall_ms": round(wall_ms, 3),
             }

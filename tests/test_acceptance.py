@@ -188,7 +188,7 @@ def test_criterion_9_cost_accounting():
                                    max_seq_len=64, seed=13),
         d_hidden=48, chunk_size=32)
     ckpt = CheckpointData(tr.init_model(mcfg), None, corpus.tokenizer, None, 0)
-    rep = hn.bench(ckpt, corpus, dyneval_step=0.01, dyneval_chunk=32)
+    rep = hn.bench(ckpt, corpus, dyneval_step=0.01)
     ratio = rep.measured["dyneval_cost_ratio"]
     assert ratio > 2.0
     flops = rep.flops

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -157,10 +158,14 @@ def test_ablate_prints_and_writes_the_five_rows(workdir, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 0 and err == ""
     names = ["No FWL", "FWL", "Test-time only", "Bias only", "Dynamic Evaluation"]
-    assert [line.rsplit(None, 2)[0] for line in out.splitlines()] == ["Method", *names]
+    # columns are two or more spaces apart; a name or a detail holds single spaces
+    printed = [re.split(r" {2,}", line) for line in out.splitlines()]
+    assert printed[0] == ["Method", "PPL", "Tok/s", "Detail"]
+    assert [p[0] for p in printed[1:]] == names
     header, *rows = csv.reader(out_csv.read_text().splitlines())
     assert header == ["method", "perplexity", "tokens_per_sec", "detail"]
     assert [r[0] for r in rows] == names
+    assert [(p + [""])[3] for p in printed[1:]] == [r[3] for r in rows]
     assert all(np.isfinite(float(r[1])) for r in rows)
     detail = {r[0]: r[3] for r in rows}
     assert detail["Test-time only"] in {f"step={g:g}" for g in (0.003, 0.01, 0.03, 0.1, 0.3)}

@@ -154,24 +154,26 @@ def test_score_tokenizer_mismatch_raises(small_ckpt):
         hn.score(ckpt, other, "baseline")
 
 
-def test_tune_global_step_zero_grid(small_ckpt):
-    ckpt, corpus = small_ckpt
-    step, ppl = hn.tune_global_step(ckpt, corpus, [0.0])
-    assert step == 0.0
-    assert ppl == pytest.approx(hn.score(ckpt, corpus, "baseline").perplexity)
-
-
-def test_tune_global_step_dominates_baseline(small_ckpt):
+def test_grid_search_over_score_with_zero_dominates_baseline(small_ckpt):
+    # a grid that holds 0 can always fall back to baseline scoring
     ckpt, corpus = small_ckpt
     base = hn.score(ckpt, corpus, "baseline").perplexity
-    _, best = hn.tune_global_step(ckpt, corpus, [0.0, 0.01, 0.1])
+    _, best = hn._grid_search([0.0, 0.01, 0.1], lambda g: hn.score(
+        ckpt, corpus, "test-time-only", global_step=g).perplexity)
     assert best <= base + 1e-12
 
 
-def test_tune_global_step_empty_grid(small_ckpt):
+def test_last_id_out_of_vocabulary_is_an_input_error(small_ckpt):
+    # the last id is only ever a target, so the backbone never reads it
     ckpt, corpus = small_ckpt
-    with pytest.raises(ConfigError):
-        hn.tune_global_step(ckpt, corpus, [])
+    doc = np.append(corpus.documents[0][:10], corpus.vocab_size)
+    bad = Corpus([doc], corpus.tokenizer)
+    for variant in hn.VARIANTS:
+        with pytest.raises(InputError):
+            hn.score(ckpt, bad, variant, global_step=0.01)
+    for step in (0.0, 0.01):
+        with pytest.raises(InputError):
+            hn.dynamic_evaluate(ckpt, bad, step, chunk_len=4)
 
 
 def test_ablate_checks_every_checkpoint_before_scoring(small_ckpt, monkeypatch):
@@ -183,6 +185,15 @@ def test_ablate_checks_every_checkpoint_before_scoring(small_ckpt, monkeypatch):
     with pytest.raises(ConfigError):
         hn.ablate({"slow": ckpt, "fwl": ckpt}, corpus)
     assert calls == []
+
+
+def test_ablation_table_prints_detail_under_a_header_as_wide_as_method():
+    # every name here is shorter than "Method"; the columns still line up
+    rows = [hn.AblationRow("FWL", 5.0, 10.0, "step=0.1"), hn.AblationRow("No", 12.5, 3.25)]
+    assert hn.ablation_table(rows).splitlines() == [
+        "Method       PPL     Tok/s  Detail",
+        "FWL        5.000      10.0  step=0.1",
+        "No        12.500       3.2"]
 
 
 def test_dynamic_evaluate_step_zero_is_baseline(small_ckpt):
@@ -561,5 +572,7 @@ def test_test_time_only_zero_step_equals_baseline(small_ckpt):
 
 def test_grid_search_ties_go_to_the_smaller_step_in_any_grid_order():
     assert hn._grid_search([0.3, 0.1, 0.2], {0.3: 1.0, 0.1: 2.0, 0.2: 1.0}.get) == (0.2, 1.0)
+    with pytest.raises(ConfigError):  # no grid
+        hn._grid_search([], {}.get)
     with pytest.raises(NumericalError):  # no step to pick
         hn._grid_search([0.1, 0.2], {0.1: np.inf, 0.2: np.nan}.get)

@@ -122,8 +122,9 @@ def test_softmax_xent_stability():
 
 
 def test_softmax_xent_target_out_of_range():
-    with pytest.raises(IndexError):
-        softmax_xent(np.array([0.0, 1.0]), 2)
+    for target in (2, -1):
+        with pytest.raises(nm.InputError):
+            nm.softmax_xent_rows(np.array([[0.0, 1.0]]), np.array([target]))
 
 
 @given(st.lists(st.floats(-15, 15), min_size=2, max_size=8))
